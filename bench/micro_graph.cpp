@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "graph/articulation.hpp"
 #include "graph/bfs.hpp"
-#include "graph/euler.hpp"
 #include "graph/mst.hpp"
 
 namespace {
@@ -77,21 +76,6 @@ BENCHMARK(BM_ArticulationPoints)
     ->Arg(30)
     ->Arg(60)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_EulerDoubledTree(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Rng rng(7);
-  std::vector<std::pair<NodeId, NodeId>> tree;
-  for (NodeId v = 1; v < n; ++v) {
-    tree.emplace_back(
-        static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(v))),
-        v);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree_double_euler_path(n, tree));
-  }
-}
-BENCHMARK(BM_EulerDoubledTree)->Arg(20)->Arg(100)->Arg(1000);
 
 }  // namespace
 

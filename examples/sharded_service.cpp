@@ -12,28 +12,18 @@
 //       --tiles 2 --faults 2 --seed 101 --threads 4
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "service/service.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
-  using namespace uavcov;
-  CliParser cli;
-  cli.add_flag("users", "number of users", "200");
-  cli.add_flag("uavs", "fleet size", "8");
-  cli.add_flag("tiles", "tiles per axis (tiles x tiles grid)", "2");
-  cli.add_flag("halo", "halo cells around each tile core", "1");
-  cli.add_flag("faults", "tiles to poison with the seeded fault plan "
-               "(0 = no chaos)", "2");
-  cli.add_flag("poison-depth", "max poisoned attempts per faulted tile", "3");
-  cli.add_flag("unrecoverable", "make the first fault unrecoverable "
-               "(forces an empty-tile degradation)", "false");
-  cli.add_flag("threads", "tile-solve worker threads (0 = all cores)", "1");
-  cli.add_flag("seed", "RNG seed", "101");
-  if (!cli.parse(argc, argv)) return 0;
+namespace {
 
+using namespace uavcov;
+
+int run(const CliParser& cli) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   Rng rng(seed);
   workload::ScenarioConfig scenario_config;
@@ -104,4 +94,30 @@ int main(int argc, char** argv) {
   std::cout << "Solution fingerprint: " << result.solution.fingerprint()
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  CliParser cli;
+  cli.add_flag("users", "number of users", "200");
+  cli.add_flag("uavs", "fleet size", "8");
+  cli.add_flag("tiles", "tiles per axis (tiles x tiles grid)", "2");
+  cli.add_flag("halo", "halo cells around each tile core", "1");
+  cli.add_flag("faults", "tiles to poison with the seeded fault plan "
+               "(0 = no chaos)", "2");
+  cli.add_flag("poison-depth", "max poisoned attempts per faulted tile", "3");
+  cli.add_flag("unrecoverable", "make the first fault unrecoverable "
+               "(forces an empty-tile degradation)", "false");
+  cli.add_flag("threads", "tile-solve worker threads (0 = all cores)", "1");
+  cli.add_flag("seed", "RNG seed", "101");
+  if (!cli.parse(argc, argv)) return 0;
+  // A config that does not fit the input (bad flags, more populated tiles
+  // than UAVs) is reported with exit code 2 instead of aborting.
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "sharded_service: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -16,6 +16,7 @@
 #include "core/assignment.hpp"
 #include "core/matroid.hpp"
 #include "core/relay.hpp"
+#include "core/replan.hpp"
 #include "graph/bfs.hpp"
 #include "obs/metrics.hpp"
 
@@ -213,7 +214,7 @@ struct SearchContext {
 };
 
 /// Mutable solver state owned by exactly one worker: the live flow network
-/// (whose FlowProbe journals must never cross threads), the hop-distance
+/// (whose checkpoint journals must never cross threads), the hop-distance
 /// scratch, local counters, and the worker's running best.  The parallel
 /// engine gives each thread its own instance; the serial path uses one.
 struct WorkerState {
@@ -557,49 +558,8 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
     if (!fill_state) fill_state = std::make_unique<WorkerState>(ctx);
     IncrementalAssignment& ia = fill_state->ia;
     const auto scope = ia.begin_scope();
-    std::vector<bool> used_uav(static_cast<std::size_t>(K), false);
-    std::vector<bool> occupied(static_cast<std::size_t>(g.node_count()),
-                               false);
-    for (const Deployment& d : best_deployments) {
-      ia.deploy(d.uav, d.loc);
-      used_uav[d.uav.index()] = true;
-      occupied[d.loc.index()] = true;
-    }
-    std::vector<UavId> leftovers;
-    for (UavId k : uav_order) {
-      if (!used_uav[k.index()]) leftovers.push_back(k);
-    }
-    for (UavId k : leftovers) {
-      // Frontier = unoccupied cells adjacent (<= R_uav) to the network
-      // that can cover at least one user.
-      std::vector<LocationId> frontier;
-      std::vector<bool> seen(static_cast<std::size_t>(g.node_count()),
-                             false);
-      for (const Deployment& d : ia.deployments()) {
-        for (const NodeId nb : g.neighbors(to_node(d.loc))) {
-          const LocationId cell = to_cell(nb);
-          if (occupied[cell.index()] || seen[cell.index()] ||
-              coverage.max_coverage(cell) == 0) {
-            continue;
-          }
-          seen[cell.index()] = true;
-          frontier.push_back(cell);
-        }
-      }
-      std::int64_t best_gain = 0;
-      LocationId best_cell = kInvalidLocation;
-      for (LocationId cell : frontier) {
-        const std::int64_t gain = ia.probe(k, cell);
-        ++st.probes;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_cell = cell;
-        }
-      }
-      if (!best_cell.valid()) break;  // no positive gain left
-      ia.deploy(k, best_cell);
-      occupied[best_cell.index()] = true;
-    }
+    for (const Deployment& d : best_deployments) ia.deploy(d.uav, d.loc);
+    st.probes += fill_frontier(ia, g, coverage, uav_order);
     if (audit) {
       analysis::AuditReport report = analysis::audit_assignment_flow(ia);
       report.subject = "appro_alg.leftover_fill";

@@ -27,10 +27,9 @@ std::uint64_t Solution::fingerprint() const {
   return h.digest();
 }
 
-bool deployments_connected(const Scenario& scenario,
-                           const std::vector<Deployment>& deployments) {
+std::vector<std::vector<std::int32_t>> network_components(
+    const Scenario& scenario, std::span<const Deployment> deployments) {
   const auto k = static_cast<std::int32_t>(deployments.size());
-  if (k <= 1) return true;
   Dsu dsu(k);
   for (std::int32_t i = 0; i < k; ++i) {
     const Vec2 pi =
@@ -41,7 +40,22 @@ bool deployments_connected(const Scenario& scenario,
       if (distance(pi, pj) <= scenario.uav_range_m) dsu.unite(i, j);
     }
   }
-  return dsu.component_count() == 1;
+  std::vector<std::vector<std::int32_t>> components;
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(k), -1);  // by root
+  for (std::int32_t i = 0; i < k; ++i) {
+    std::int32_t& s = slot[static_cast<std::size_t>(dsu.find(i))];
+    if (s < 0) {
+      s = static_cast<std::int32_t>(components.size());
+      components.emplace_back();
+    }
+    components[static_cast<std::size_t>(s)].push_back(i);
+  }
+  return components;
+}
+
+bool deployments_connected(const Scenario& scenario,
+                           const std::vector<Deployment>& deployments) {
+  return network_components(scenario, deployments).size() <= 1;
 }
 
 void validate_solution(const Scenario& scenario, const CoverageModel& coverage,

@@ -2,6 +2,7 @@
 // exhaustive reference, plus a full feasibility audit.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,12 @@ struct Solution {
 ///   * `served` consistent with the assignment vector.
 void validate_solution(const Scenario& scenario, const CoverageModel& coverage,
                        const Solution& solution);
+
+/// Connected components of the deployments' UAV network under the §II-C
+/// link test (cell centers within R_uav), as indices into `deployments`:
+/// ascending within a component, components ordered by lowest index.
+std::vector<std::vector<std::int32_t>> network_components(
+    const Scenario& scenario, std::span<const Deployment> deployments);
 
 /// True if the deployment's location set forms a connected UAV network.
 bool deployments_connected(const Scenario& scenario,

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -542,7 +543,7 @@ void run_service_harness(const std::uint8_t* data, std::size_t size) {
   service::TilePlan plan;
   try {
     plan = service::make_tiling(scenario, config.tiling);
-  } catch (const ContractError&) {
+  } catch (const std::invalid_argument&) {
     return;  // untileable (e.g. fleet < populated tiles) — clean rejection.
   }
 

@@ -1,5 +1,6 @@
-// Disjoint-set union (union by size + path halving) — used by Kruskal's MST
-// and by solution validation to check UAV-network connectivity.
+// Disjoint-set union (union by size + path halving) — used by
+// network_components (core/solution.hpp) to group a UAV network into
+// connected components, and by the brute-force graph oracles.
 #pragma once
 
 #include <cstdint>

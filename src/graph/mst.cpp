@@ -1,30 +1,6 @@
 #include "graph/mst.hpp"
 
-#include <algorithm>
-
-#include "graph/dsu.hpp"
-
 namespace uavcov {
-
-std::optional<std::vector<WeightedEdge>> kruskal_mst(
-    NodeId node_count, std::vector<WeightedEdge> edges) {
-  UAVCOV_CHECK_MSG(node_count >= 0, "node count must be nonnegative");
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const WeightedEdge& a, const WeightedEdge& b) {
-                     return a.weight < b.weight;
-                   });
-  Dsu dsu(node_count);
-  std::vector<WeightedEdge> tree;
-  tree.reserve(static_cast<std::size_t>(std::max<NodeId>(node_count - 1, 0)));
-  for (const WeightedEdge& e : edges) {
-    UAVCOV_CHECK_MSG(e.u >= 0 && e.u < node_count && e.v >= 0 &&
-                         e.v < node_count,
-                     "edge endpoint out of range");
-    if (dsu.unite(e.u, e.v)) tree.push_back(e);
-  }
-  if (node_count > 0 && dsu.component_count() != 1) return std::nullopt;
-  return tree;
-}
 
 std::optional<std::vector<NodeId>> prim_mst_dense(const std::vector<double>& w,
                                                   NodeId k) {

@@ -1,5 +1,4 @@
-// Minimum spanning tree over a weighted edge list (Kruskal) and over a
-// dense pairwise-weight matrix (Prim).
+// Minimum spanning tree over a dense pairwise-weight matrix (Prim).
 //
 // Algorithm 2 builds a complete graph G'_j on the greedily chosen locations
 // with edge weight = pairwise hop distance in G, then takes an MST (paper
@@ -13,19 +12,6 @@
 #include "graph/graph.hpp"
 
 namespace uavcov {
-
-struct WeightedEdge {
-  NodeId u = 0;
-  NodeId v = 0;
-  double weight = 0.0;
-};
-
-/// Kruskal over an explicit edge list.  Returns the MST edges, or
-/// std::nullopt if the graph (restricted to nodes [0, node_count)) is
-/// disconnected.  Ties are broken by input order (stable sort), so results
-/// are deterministic.
-std::optional<std::vector<WeightedEdge>> kruskal_mst(
-    NodeId node_count, std::vector<WeightedEdge> edges);
 
 /// Prim over a dense symmetric weight matrix `w` (size k×k, row-major).
 /// Entries >= kInfiniteWeight are treated as "no edge".  Returns MST as a

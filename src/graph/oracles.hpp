@@ -6,9 +6,15 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/mst.hpp"
 
 namespace uavcov::oracle {
+
+/// One undirected weighted edge of brute_force_mst_weight's edge list.
+struct WeightedEdge {
+  NodeId u = 0;
+  NodeId v = 0;
+  double weight = 0.0;
+};
 
 /// Floyd–Warshall all-pairs hop distances (kUnreachable for disconnected).
 std::vector<std::vector<std::int32_t>> all_pairs_hops(const Graph& g);

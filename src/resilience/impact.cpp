@@ -4,9 +4,8 @@
 #include <optional>
 #include <utility>
 
-#include "core/assignment.hpp"
+#include "core/replan.hpp"
 #include "graph/articulation.hpp"
-#include "graph/dsu.hpp"
 #include "graph/graph.hpp"
 
 namespace uavcov::resilience {
@@ -86,55 +85,16 @@ ImpactReport analyze_impact(const Scenario& scenario,
 
     EventImpact impact;
     impact.event = e;
-    std::vector<std::int32_t> survivors;  // indices into deps
-    for (std::int32_t i = 0; i < n; ++i) {
-      if (alive[deps[static_cast<std::size_t>(i)].uav.index()]) {
-        survivors.push_back(i);
-      }
+    std::vector<Deployment> survivors;
+    for (const Deployment& d : deps) {
+      if (alive[d.uav.index()]) survivors.push_back(d);
     }
     impact.deployments_alive = static_cast<std::int32_t>(survivors.size());
-
-    if (!survivors.empty()) {
-      Dsu dsu(static_cast<std::int32_t>(survivors.size()));
-      for (std::size_t a = 0; a < survivors.size(); ++a) {
-        for (std::size_t b = a + 1; b < survivors.size(); ++b) {
-          if (linked(degraded,
-                     deps[static_cast<std::size_t>(survivors[a])].loc,
-                     deps[static_cast<std::size_t>(survivors[b])].loc,
-                     degraded.uav_range_m)) {
-            dsu.unite(static_cast<std::int32_t>(a),
-                      static_cast<std::int32_t>(b));
-          }
-        }
-      }
-      impact.components = dsu.component_count();
-
-      // Group survivors by DSU root, in first-member order (deterministic).
-      std::vector<std::pair<std::int32_t, std::vector<Deployment>>> groups;
-      for (std::size_t a = 0; a < survivors.size(); ++a) {
-        const std::int32_t root = dsu.find(static_cast<std::int32_t>(a));
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [root](const auto& g) {
-                                 return g.first == root;
-                               });
-        if (it == groups.end()) {
-          groups.push_back({root, {}});
-          it = groups.end() - 1;
-        }
-        it->second.push_back(deps[static_cast<std::size_t>(survivors[a])]);
-      }
-      for (const auto& [root, members] : groups) {
-        const AssignmentResult r =
-            solve_assignment(degraded, *coverage, members);
-        // First group wins ties: groups are ordered by lowest member index.
-        if (r.served > impact.served_remaining ||
-            impact.main_component_size == 0) {
-          impact.served_remaining = r.served;
-          impact.main_component_size =
-              static_cast<std::int32_t>(members.size());
-        }
-      }
-    }
+    const KeptComponent kept = best_component(degraded, *coverage, survivors);
+    impact.components = kept.components;
+    impact.main_component_size =
+        static_cast<std::int32_t>(kept.deployments.size());
+    impact.served_remaining = kept.served;
     impact.users_stranded =
         std::max<std::int64_t>(0, solution.served - impact.served_remaining);
     report.events.push_back(impact);

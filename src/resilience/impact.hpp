@@ -1,12 +1,11 @@
 // Impact analysis: what does a fault plan cost if nobody reacts?
 //
-// Reuses the graph machinery the solver already trusts — Tarjan
-// articulation points (graph/articulation.hpp) name the single points of
-// failure of the standing network, and a DSU (graph/dsu.hpp) tracks the
-// surviving connected components as events accumulate.  The "remaining"
-// numbers are optimal for the surviving main component (Lemma 1
-// assignment), so the report is a lower bound on damage: any real system
-// without repair does no better.
+// Reuses the machinery the solver already trusts — Tarjan articulation
+// points (graph/articulation.hpp) name the single points of failure of the
+// standing network, and best_component (core/replan.hpp) picks the main
+// surviving component as events accumulate.  The "remaining" numbers are
+// optimal for that component (Lemma 1 assignment), so the report is a
+// lower bound on damage: any real system without repair does no better.
 #pragma once
 
 #include "core/solution.hpp"

@@ -12,7 +12,8 @@
 //      whose loss of coverage duty costs the fewest served users);
 //   3. if stitching is impossible (survivors mutually unreachable), fall
 //      back to the best surviving component and spend the cut-off UAVs as
-//      greedy frontier reinforcements (the fill_leftover_uavs idiom);
+//      frontier reinforcements (best_component and fill_frontier,
+//      core/replan.hpp);
 //   4. re-run the optimal assignment (Lemma 1) and, optionally, a bounded
 //      refine_solution pass —
 //

@@ -44,11 +44,12 @@ std::vector<std::int32_t> fleet_quotas(
       ++populated;
     }
   }
-  UAVCOV_CHECK_MSG(populated <= fleet_size,
-                   "make_tiling: fleet smaller than the number of populated "
-                   "tiles (" + std::to_string(populated) + " tiles, " +
-                       std::to_string(fleet_size) +
-                       " UAVs); use a coarser tiling");
+  if (populated > fleet_size) {
+    throw std::invalid_argument(
+        "make_tiling: fleet smaller than the number of populated tiles (" +
+        std::to_string(populated) + " tiles, " + std::to_string(fleet_size) +
+        " UAVs); use a coarser tiling");
+  }
   for (std::int32_t seat = populated; seat < fleet_size; ++seat) {
     std::size_t best = tile_users.size();
     for (std::size_t t = 0; t < tile_users.size(); ++t) {
@@ -86,9 +87,14 @@ TilePlan make_tiling(const Scenario& scenario, const TilingParams& params) {
   params.validate();
   scenario.validate();
   const Grid& grid = scenario.grid;
-  UAVCOV_CHECK_MSG(params.tiles_x <= grid.cols() &&
-                       params.tiles_y <= grid.rows(),
-                   "make_tiling: more tiles than grid cells per axis");
+  if (params.tiles_x > grid.cols() || params.tiles_y > grid.rows()) {
+    throw std::invalid_argument(
+        "make_tiling: more tiles than grid cells per axis (" +
+        std::to_string(params.tiles_x) + " x " +
+        std::to_string(params.tiles_y) + " tiles, " +
+        std::to_string(grid.cols()) + " x " + std::to_string(grid.rows()) +
+        " cells)");
+  }
 
   const std::vector<std::int32_t> col_bounds =
       split_axis(grid.cols(), params.tiles_x);

@@ -63,9 +63,11 @@ struct TilePlan {
 };
 
 /// Builds the tile plan.  Deterministic: the same (scenario, params) pair
-/// yields an identical plan on every platform.  Requires the fleet to be
-/// at least as large as the number of populated tiles (each needs a UAV to
-/// be solvable); callers wanting coarser sharding lower tiles_x/tiles_y.
+/// yields an identical plan on every platform.  Throws
+/// std::invalid_argument when the config does not fit the input: more
+/// tiles than grid columns or rows, or a fleet smaller than the number of
+/// populated tiles (each needs a UAV to be solvable); callers wanting
+/// coarser sharding lower tiles_x/tiles_y.
 TilePlan make_tiling(const Scenario& scenario, const TilingParams& params);
 
 }  // namespace uavcov::service

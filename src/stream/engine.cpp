@@ -9,6 +9,7 @@
 #include "common/stopwatch.hpp"
 #include "core/assignment.hpp"
 #include "core/redeploy.hpp"
+#include "core/replan.hpp"
 #include "obs/metrics.hpp"
 
 namespace uavcov::stream {
@@ -147,46 +148,13 @@ Solution StreamEngine::patch(const CoverageModel& coverage) {
   const Stopwatch watch;
 
   IncrementalAssignment ia(scenario, coverage);
-  std::vector<bool> occupied(static_cast<std::size_t>(scenario.grid.size()),
-                             false);
-  IdVector<UavTag, bool> uav_used(scenario.fleet.size(), false);
   // Re-deploy the standing placement in order: every deploy augments the
   // fresh flow network through the incremental add-node journal, so the
   // churned users are re-matched without a from-scratch solver run.
-  for (const Deployment& d : solution_.deployments) {
-    ia.deploy(d.uav, d.loc);
-    occupied[d.loc.index()] = true;
-    uav_used[d.uav] = true;
-  }
-
-  // Greedy frontier fill: idle UAVs (capacity-descending) hover on cells
-  // adjacent to the standing network while a probe shows positive gain —
-  // the same engineering extension approAlg uses for leftover UAVs, so
-  // connectivity is preserved by construction.
-  if (!solution_.deployments.empty()) {
-    for (const UavId k : scenario.uavs_by_capacity_desc()) {
-      if (uav_used[k]) continue;
-      std::vector<bool> seen = occupied;
-      std::int64_t best_gain = 0;
-      LocationId best_loc = kInvalidLocation;
-      for (const Deployment& d : ia.deployments()) {
-        for (const NodeId v : cell_graph_.neighbors(to_node(d.loc))) {
-          if (seen[static_cast<std::size_t>(v)]) continue;
-          seen[static_cast<std::size_t>(v)] = true;
-          const std::int64_t gain = ia.probe(k, to_cell(v));
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_loc = to_cell(v);
-          }
-        }
-      }
-      if (best_gain > 0) {
-        ia.deploy(k, best_loc);
-        occupied[best_loc.index()] = true;
-        uav_used[k] = true;
-      }
-    }
-  }
+  for (const Deployment& d : solution_.deployments) ia.deploy(d.uav, d.loc);
+  // Idle UAVs (capacity-descending) then take frontier cells while a probe
+  // shows positive gain (core/replan.hpp), so connectivity is preserved.
+  fill_frontier(ia, cell_graph_, coverage, scenario.uavs_by_capacity_desc());
 
   // Finalize with the optimal Lemma-1 assignment over the patched
   // deployment set; its max flow must agree with the incremental count.

@@ -6,10 +6,9 @@
 //
 //   * delta patch — rebuild the live flow network (core/assignment's
 //     incremental add-node/rollback journal), re-deploy the standing
-//     placement against the churned user set, greedily fill idle UAVs on
-//     frontier cells adjacent to the network while a probe shows positive
-//     gain (connectivity preserved by construction), and finish with the
-//     optimal Lemma-1 assignment;
+//     placement against the churned user set, spend idle UAVs with the
+//     shared frontier fill (core/replan.hpp: connectivity preserved by
+//     construction), and finish with the optimal Lemma-1 assignment;
 //   * full re-solve — run approAlg from scratch on the materialized
 //     scenario.
 //

@@ -59,6 +59,8 @@ struct GoldenScenario {
   /// golden_table() — on mismatch gtest prints the actual table, which is
   /// the replacement text when the change is intentional.
   const char* table;
+  /// FleetConfig::heavy_fraction: > 0 mixes two radio classes.
+  double heavy_fraction = 0.0;
 };
 
 std::string golden_table(const GoldenScenario& g) {
@@ -66,6 +68,7 @@ std::string golden_table(const GoldenScenario& g) {
   config.seed = g.seed;
   config.scenario.user_count = g.users;
   config.scenario.fleet.uav_count = g.uavs;
+  config.scenario.fleet.heavy_fraction = g.heavy_fraction;
   config.appro.s = g.s;
   config.appro.candidate_cap = 25;
   config.run_random = true;
@@ -140,6 +143,17 @@ TEST(Regression, SolutionFingerprintsPinned) {
        "MCS 404 0x9578f99b86d51d82\n"
        "GreedyAssign 309 0xd9974e3d430a6274\n"
        "RandomConnected 190 0x1ae5659929d9741e\n"},
+      // Mixed radio classes: a zero-gain UAV of one class does not stop the
+      // frontier fill from deploying the other class (core/replan.hpp).
+      {14, 100, 16, 1,
+       "scenario 0xdb0f4e2714e0a774\n"
+       "approAlg 96 0x7155d258b716c2ba\n"
+       "maxThroughput 99 0xd1753ae04d84d3b9\n"
+       "MotionCtrl 96 0xd4dc8208b356136a\n"
+       "MCS 100 0x1fef4864e09e605a\n"
+       "GreedyAssign 99 0x2d4ebc08b4c41566\n"
+       "RandomConnected 83 0x514ba884bf5360e8\n",
+       0.5},
   };
   for (const GoldenScenario& g : goldens) {
     const std::string actual = golden_table(g);

@@ -137,6 +137,11 @@ TEST(Tiling, RejectsBadParams) {
   const Scenario sc = mission_scenario(3);
   EXPECT_THROW(make_tiling(sc, TilingParams{0, 2, 1}), std::invalid_argument);
   EXPECT_THROW(make_tiling(sc, TilingParams{2, 2, -1}), std::invalid_argument);
+  // Config-versus-input mismatches: 6 tile columns on a 5-column grid, and
+  // 9 populated tiles for an 8-UAV fleet.
+  EXPECT_THROW(make_tiling(sc, TilingParams{6, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(make_tiling(mission_scenario(101, 400, 8), TilingParams{3, 3, 1}),
+               std::invalid_argument);
 }
 
 // --- chaos plans ----------------------------------------------------------

@@ -1,29 +1,31 @@
-// Benchmark-regression runner (docs/OBSERVABILITY.md): executes a pinned-
-// seed suite of scenarios through approAlg and every baseline and emits a
-// schema-versioned BENCH_coverage.json with, per case:
-//   * the scenario fingerprint (generator identity),
-//   * per-algorithm served count, solution fingerprint, and best-of-repeats
-//     wall time,
-//   * the full metrics snapshot of one run (counters are deterministic:
-//     threads = 1 and the registry is reset before the measured repeat).
+// Identity gate (docs/OBSERVABILITY.md): runs a pinned-seed suite through
+// approAlg, every baseline, and the repair, stream and service drills, and
+// emits a schema-versioned BENCH_coverage.json with, per case:
+//   * the fingerprints of its inputs (scenario, fault plan, churn trace),
+//   * per-row served count and solution fingerprint,
+//   * the metrics snapshot of one run (counters are deterministic:
+//     threads = 1 and the registry is reset before the second run).
+// Every case runs twice and the second run must reproduce the first; every
+// row except the flat kernel rows must pass validate_solution.
 // scripts/bench_compare.py diffs the document against the committed
-// baseline at the repo root; CI's bench-smoke job runs `--quick`.
+// baseline at the repo root.
 //
-// Everything except wall times is bit-reproducible across machines.  Times
-// are normalized by the calibration workload below before comparison.
-#include <sys/resource.h>
-
-#include <algorithm>
+// Nothing here is timed: perfbench/ (BENCHMARK.json) is the timing
+// benchmark.  Everything written is bit-reproducible across machines
+// except the histogram sums of the embedded snapshot, which are wall
+// clock and which bench_compare.py ignores.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/fingerprint.hpp"
-#include "common/stopwatch.hpp"
 #include "core/assignment.hpp"
 #include "eval/experiment.hpp"
 #include "io/serialize.hpp"
@@ -37,7 +39,8 @@
 
 namespace {
 
-using uavcov::Fnv1a;
+using uavcov::Scenario;
+using uavcov::Solution;
 
 struct BenchCase {
   std::string name;
@@ -74,127 +77,111 @@ uavcov::eval::RunConfig make_config(const BenchCase& c) {
   return config;
 }
 
-/// Fixed CPU-bound workload (FNV over a synthetic buffer) whose wall time
-/// proxies single-core speed.  bench_compare.py divides solver times by
-/// the calibration ratio so a faster/slower CI machine does not trip the
-/// regression gate.
-double calibration_seconds() {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const uavcov::Stopwatch watch;
-    Fnv1a h;
-    for (std::uint64_t i = 0; i < 2'000'000; ++i) h.mix(i);
-    // Consume the digest so the loop cannot be optimized away.
-    volatile std::uint64_t sink = h.digest();
-    (void)sink;
-    best = std::min(best, watch.elapsed_s());
+Scenario disaster_scenario(const uavcov::eval::RunConfig& config) {
+  uavcov::Rng rng(config.seed);
+  return uavcov::workload::make_disaster_scenario(config.scenario, rng);
+}
+
+/// One pinned output: a solution's served count and fingerprint.
+struct Row {
+  std::string name;
+  std::int64_t served = 0;
+  std::uint64_t fingerprint = 0;
+  bool operator==(const Row&) const = default;
+};
+
+Row row(std::string name, const Solution& solution) {
+  return {std::move(name), solution.served, solution.fingerprint()};
+}
+
+/// What one run of a case pins: its rows, and case-level counts written
+/// next to the input fingerprints.
+struct Outcome {
+  std::vector<Row> rows;
+  std::vector<std::pair<std::string, std::int64_t>> counts;
+  bool operator==(const Outcome&) const = default;
+};
+
+/// Fails the run unless `solution` is §II-C feasible for `scenario`.
+void require_valid(const std::string& where, const Scenario& scenario,
+                   const Solution& solution) {
+  try {
+    uavcov::validate_solution(scenario, uavcov::CoverageModel(scenario),
+                              solution);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(where + " is infeasible: " + e.what());
   }
-  return best;
 }
 
-/// Process peak RSS in bytes (Linux ru_maxrss is KiB).
-std::int64_t peak_rss_bytes() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  uavcov::CliParser cli;
-  cli.add_flag("quick", "run only the quick subset (CI bench-smoke)", "false");
-  cli.add_flag("repeats", "timed repeats per case (min wall time wins)", "3");
-  cli.add_flag("out", "output JSON path", "BENCH_coverage.json");
-  if (!cli.parse(argc, argv)) return 0;
-
-  const bool quick = cli.get_bool("quick");
-  const auto repeats = static_cast<std::int32_t>(cli.get_int("repeats"));
-  UAVCOV_CHECK_MSG(repeats >= 1, "--repeats must be >= 1");
-
+/// Runs `once` twice, resetting the registry before the second run so the
+/// embedded snapshot counts exactly one run, and fails unless the second
+/// run reproduces the first.  Then writes the case.  `inputs` are the
+/// fingerprints of the case's inputs beyond its scenario.
+template <typename Once>
+void run_case(uavcov::obs::JsonWriter& w, const BenchCase& c,
+              const Scenario& scenario,
+              const std::vector<std::pair<std::string, std::uint64_t>>& inputs,
+              Once&& once) {
+  std::cerr << "[bench_runner] " << c.name << " (n=" << c.users
+            << ", K=" << c.uavs << ", s=" << c.s << ")\n";
   uavcov::obs::Registry& registry = uavcov::obs::Registry::instance();
-  registry.set_enabled(true);
+  const Outcome first = once();
+  registry.reset();
+  UAVCOV_CHECK_MSG(once() == first, "non-deterministic output in " + c.name);
+  const uavcov::obs::Snapshot snapshot = registry.snapshot();
 
-  uavcov::obs::JsonWriter w;
   w.begin_object();
-  w.kv("schema_version", std::int64_t{1});
-  w.kv("suite", quick ? "quick" : "full");
-  w.kv("calibration_seconds", calibration_seconds());
-  w.key("cases").begin_array();
+  w.kv("name", c.name);
+  w.kv("seed", static_cast<std::int64_t>(c.seed));
+  w.kv("users", c.users);
+  w.kv("uavs", c.uavs);
+  w.kv("s", c.s);
+  w.kv("scenario_fingerprint",
+       uavcov::fingerprint_hex(scenario.fingerprint()));
+  for (const auto& [key, fp] : inputs) w.kv(key, uavcov::fingerprint_hex(fp));
+  for (const auto& [key, count] : first.counts) w.kv(key, count);
+  w.key("algorithms").begin_array();
+  for (const Row& r : first.rows) {
+    w.begin_object();
+    w.kv("name", r.name);
+    w.kv("served", r.served);
+    w.kv("fingerprint", uavcov::fingerprint_hex(r.fingerprint));
+    w.end_object();
+  }
+  w.end_array();
+  w.key("metrics");
+  uavcov::obs::write_snapshot(w, snapshot);
+  w.end_object();
+}
 
+void run_suite(uavcov::obs::JsonWriter& w, bool quick,
+               const std::string& out_path) {
   for (const BenchCase& c : suite()) {
     if (quick && !c.quick) continue;
-    std::cerr << "[bench_runner] " << c.name << " (n=" << c.users
-              << ", K=" << c.uavs << ", s=" << c.s << ")\n";
     const uavcov::eval::RunConfig config = make_config(c);
-    uavcov::Rng rng(config.seed);
-    const uavcov::Scenario scenario =
-        uavcov::workload::make_disaster_scenario(config.scenario, rng);
+    const Scenario scenario = disaster_scenario(config);
     const uavcov::CoverageModel coverage(scenario);
-
-    // Best-of-repeats timing; the registry is reset before the *last*
-    // repeat so the embedded snapshot counts exactly one run of each
-    // algorithm — bit-reproducible with threads = 1.
-    std::vector<uavcov::eval::AlgoResult> results;
-    std::vector<double> best_seconds;
-    for (std::int32_t rep = 0; rep < repeats; ++rep) {
-      if (rep == repeats - 1) registry.reset();
-      const std::vector<uavcov::eval::AlgoResult> run =
-          uavcov::eval::run_all_on(scenario, coverage, config);
-      if (results.empty()) {
-        results = run;
-        for (const auto& r : run) best_seconds.push_back(r.seconds);
-      } else {
-        UAVCOV_CHECK_MSG(run.size() == results.size(),
-                         "algorithm set changed between repeats");
-        for (std::size_t i = 0; i < run.size(); ++i) {
-          UAVCOV_CHECK_MSG(run[i].fingerprint == results[i].fingerprint,
-                           "non-deterministic solver output for " +
-                               run[i].name + " in case " + c.name);
-          best_seconds[i] = std::min(best_seconds[i], run[i].seconds);
-        }
+    // run_all_on validates every solution it returns.
+    run_case(w, c, scenario, {}, [&] {
+      Outcome out;
+      for (const auto& r :
+           uavcov::eval::run_all_on(scenario, coverage, config)) {
+        out.rows.push_back({r.name, r.served, r.fingerprint});
       }
-    }
-    const uavcov::obs::Snapshot snapshot = registry.snapshot();
-
-    w.begin_object();
-    w.kv("name", c.name);
-    w.kv("seed", static_cast<std::int64_t>(c.seed));
-    w.kv("users", c.users);
-    w.kv("uavs", c.uavs);
-    w.kv("s", c.s);
-    w.kv("scenario_fingerprint",
-         uavcov::fingerprint_hex(scenario.fingerprint()));
-    w.key("algorithms").begin_array();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      w.begin_object();
-      w.kv("name", results[i].name);
-      w.kv("served", results[i].served);
-      w.kv("fingerprint", uavcov::fingerprint_hex(results[i].fingerprint));
-      w.kv("seconds", best_seconds[i]);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("metrics");
-    uavcov::obs::write_snapshot(w, snapshot);
-    w.end_object();
+      return out;
+    });
   }
 
   // Failure-repair drill (docs/RESILIENCE.md): one pinned (scenario,
   // fault plan) pair through deploy → inject → self-healing repair.
   // Append-only like the solver suite; part of the quick subset.  The
-  // identity entries are the initial deployment and the post-drill
-  // solution, so any behavioral change to fault injection or repair
-  // moves a pinned fingerprint here.
+  // rows are the initial deployment and the post-drill solution, so any
+  // behavioral change to fault injection or repair moves a pinned
+  // fingerprint here.
   {
     const BenchCase c{"repair_drill_s2", 106, 500, 10, 2, 150, true};
-    std::cerr << "[bench_runner] " << c.name << " (n=" << c.users
-              << ", K=" << c.uavs << ", s=" << c.s << ")\n";
     const uavcov::eval::RunConfig config = make_config(c);
-    uavcov::Rng rng(config.seed);
-    const uavcov::Scenario scenario =
-        uavcov::workload::make_disaster_scenario(config.scenario, rng);
-
+    const Scenario scenario = disaster_scenario(config);
     uavcov::resilience::RepairPolicy policy;
     policy.appro = config.appro;
     uavcov::resilience::FaultPlanConfig faults;
@@ -202,79 +189,29 @@ int main(int argc, char** argv) {
     faults.include_gateway_loss = true;  // exercises the escalation path
     const uavcov::resilience::FaultPlan plan =
         uavcov::resilience::make_fault_plan(scenario, faults, c.seed * 1009);
-
-    std::uint64_t initial_fp = 0;
-    std::uint64_t final_fp = 0;
-    std::int64_t initial_served = 0;
-    std::int64_t final_served = 0;
-    double deploy_seconds = 1e300;
-    double repair_seconds = 1e300;
-    for (std::int32_t rep = 0; rep < repeats; ++rep) {
-      if (rep == repeats - 1) registry.reset();
+    const auto drill = [&] {
       uavcov::resilience::RepairController controller(scenario, policy);
-      const uavcov::Stopwatch deploy_watch;
-      const uavcov::Solution& initial = controller.deploy();
-      const double deploy_s = deploy_watch.elapsed_s();
-      const std::uint64_t fp0 = initial.fingerprint();
-      const std::int64_t served0 = initial.served;
-      const uavcov::Stopwatch repair_watch;
+      const Solution initial = controller.deploy();
       for (const uavcov::resilience::FaultEvent& e : plan.events) {
         controller.on_fault(e);
       }
-      const double repair_s = repair_watch.elapsed_s();
-      if (rep == 0) {
-        initial_fp = fp0;
-        initial_served = served0;
-        final_fp = controller.current().fingerprint();
-        final_served = controller.current().served;
-      } else {
-        UAVCOV_CHECK_MSG(fp0 == initial_fp &&
-                             controller.current().fingerprint() == final_fp,
-                         "non-deterministic repair drill in repair_drill_s2");
-      }
-      deploy_seconds = std::min(deploy_seconds, deploy_s);
-      repair_seconds = std::min(repair_seconds, repair_s);
-    }
-    const uavcov::obs::Snapshot snapshot = registry.snapshot();
-
-    w.begin_object();
-    w.kv("name", c.name);
-    w.kv("seed", static_cast<std::int64_t>(c.seed));
-    w.kv("users", c.users);
-    w.kv("uavs", c.uavs);
-    w.kv("s", c.s);
-    w.kv("scenario_fingerprint",
-         uavcov::fingerprint_hex(scenario.fingerprint()));
-    w.kv("fault_plan_fingerprint",
-         uavcov::fingerprint_hex(plan.fingerprint()));
-    w.key("algorithms").begin_array();
-    w.begin_object();
-    w.kv("name", "approAlg_initial");
-    w.kv("served", initial_served);
-    w.kv("fingerprint", uavcov::fingerprint_hex(initial_fp));
-    w.kv("seconds", deploy_seconds);
-    w.end_object();
-    w.begin_object();
-    w.kv("name", "repair_final");
-    w.kv("served", final_served);
-    w.kv("fingerprint", uavcov::fingerprint_hex(final_fp));
-    w.kv("seconds", repair_seconds);
-    w.end_object();
-    w.end_array();
-    w.key("metrics");
-    uavcov::obs::write_snapshot(w, snapshot);
-    w.end_object();
+      require_valid(c.name + "/approAlg_initial", scenario, initial);
+      require_valid(c.name + "/repair_final", scenario, controller.current());
+      return Outcome{{row("approAlg_initial", initial),
+                      row("repair_final", controller.current())},
+                     {}};
+    };
+    run_case(w, c, scenario, {{"fault_plan_fingerprint", plan.fingerprint()}},
+             drill);
   }
 
-  // Million-user hot-path cases (docs/FORMATS.md): generate → binary save →
+  // Kernel identity rows (docs/FORMATS.md): generate → binary save →
   // binary load (fingerprint-checked) → CoverageModel (FlatScenario CSR
-  // build) → deterministic greedy placement + max-flow assignment.  The
-  // placement pairs capacity-descending UAVs with the top max-coverage
-  // cells and skips the relay stitching — this benchmarks the IO and
-  // flat-index layers, not the paper algorithm.  load/save/coverage times
-  // and peak RSS ride along as extra keys (bench_compare.py ignores keys
-  // it does not know; served counts and fingerprints are identity-checked
-  // like every other case).
+  // build) → top-K placement + max-flow assignment.  The placement pairs
+  // capacity-descending UAVs with the top max-coverage cells and skips the
+  // §II-C(3) relay stitching on purpose: these rows pin the io and
+  // flat-index kernels, not a feasible plan, so they are the only rows
+  // that are not validated.  Do not rename or reseed them.
   {
     struct FlatCase {
       std::string name;
@@ -288,122 +225,59 @@ int main(int argc, char** argv) {
         {"flat_100k_users", 108, 100'000, 12, 6000.0, true},
         {"flat_1m_users", 107, 1'000'000, 20, 12000.0, false},
     };
-    const std::string out_path = cli.get_string("out");
     for (const FlatCase& c : flat_cases) {
       if (quick && !c.quick) continue;
-      std::cerr << "[bench_runner] " << c.name << " (n=" << c.users
-                << ", K=" << c.uavs << ")\n";
-      const uavcov::Scenario scenario =
-          uavcov::workload::ScenarioBuilder()
-              .area(c.side_m, c.side_m)
-              .cell_side(600.0)
-              .users(c.users)
-              .uavs(c.uavs)
-              .seed(c.seed)
-              .build();
+      const Scenario scenario = uavcov::workload::ScenarioBuilder()
+                                    .area(c.side_m, c.side_m)
+                                    .cell_side(600.0)
+                                    .users(c.users)
+                                    .uavs(c.uavs)
+                                    .seed(c.seed)
+                                    .build();
       const std::string bin_path = out_path + "." + c.name + ".bin";
-
-      double save_seconds = 1e300;
-      double load_seconds = 1e300;
-      double coverage_seconds = 1e300;
-      double solve_seconds = 1e300;
-      std::int64_t served = 0;
-      std::uint64_t solution_fp = 0;
-      for (std::int32_t rep = 0; rep < repeats; ++rep) {
-        if (rep == repeats - 1) registry.reset();
-        const uavcov::Stopwatch save_watch;
+      run_case(w, {c.name, c.seed, c.users, c.uavs, 1}, scenario, {}, [&] {
         uavcov::io::save_scenario_file(bin_path, scenario,
                                        uavcov::io::Format::kBinary);
-        save_seconds = std::min(save_seconds, save_watch.elapsed_s());
-
-        const uavcov::Stopwatch load_watch;
-        const uavcov::Scenario loaded =
-            uavcov::io::load_scenario_file(bin_path);
-        load_seconds = std::min(load_seconds, load_watch.elapsed_s());
+        const Scenario loaded = uavcov::io::load_scenario_file(bin_path);
         UAVCOV_CHECK_MSG(loaded.fingerprint() == scenario.fingerprint(),
                          "binary round trip changed the scenario in " +
                              c.name);
-
-        const uavcov::Stopwatch coverage_watch;
         const uavcov::CoverageModel coverage(loaded);
-        coverage_seconds =
-            std::min(coverage_seconds, coverage_watch.elapsed_s());
-
-        const uavcov::Stopwatch solve_watch;
         const std::vector<uavcov::LocationId> candidates =
             coverage.candidate_locations(loaded.uav_count());
         const std::vector<uavcov::UavId> order =
             loaded.uavs_by_capacity_desc();
-        std::vector<uavcov::Deployment> deployments;
+        Solution solution;
+        solution.algorithm = "greedy_place_flow";
         for (std::size_t i = 0;
              i < candidates.size() &&
              i < static_cast<std::size_t>(loaded.uav_count());
              ++i) {
-          deployments.push_back({order[i], candidates[i]});
+          solution.deployments.push_back({order[i], candidates[i]});
         }
-        const uavcov::AssignmentResult assignment =
-            uavcov::solve_assignment(loaded, coverage, deployments);
-        solve_seconds = std::min(solve_seconds, solve_watch.elapsed_s());
-
-        uavcov::Solution solution;
-        solution.algorithm = "greedy_place_flow";
-        solution.deployments = deployments;
-        solution.user_to_deployment = assignment.user_to_deployment;
+        uavcov::AssignmentResult assignment =
+            uavcov::solve_assignment(loaded, coverage, solution.deployments);
+        solution.user_to_deployment =
+            std::move(assignment.user_to_deployment);
         solution.served = assignment.served;
-        if (rep == 0) {
-          served = solution.served;
-          solution_fp = solution.fingerprint();
-        } else {
-          UAVCOV_CHECK_MSG(solution.fingerprint() == solution_fp,
-                           "non-deterministic flat-case solve in " + c.name);
-        }
-      }
-      const uavcov::obs::Snapshot snapshot = registry.snapshot();
+        return Outcome{{row("greedy_place_flow", solution)}, {}};
+      });
       std::remove(bin_path.c_str());
-
-      w.begin_object();
-      w.kv("name", c.name);
-      w.kv("seed", static_cast<std::int64_t>(c.seed));
-      w.kv("users", c.users);
-      w.kv("uavs", c.uavs);
-      w.kv("s", 1);
-      w.kv("scenario_fingerprint",
-           uavcov::fingerprint_hex(scenario.fingerprint()));
-      w.kv("save_seconds", save_seconds);
-      w.kv("load_seconds", load_seconds);
-      w.kv("coverage_seconds", coverage_seconds);
-      w.kv("peak_rss_bytes", peak_rss_bytes());
-      w.key("algorithms").begin_array();
-      w.begin_object();
-      w.kv("name", "greedy_place_flow");
-      w.kv("served", served);
-      w.kv("fingerprint", uavcov::fingerprint_hex(solution_fp));
-      w.kv("seconds", solve_seconds);
-      w.end_object();
-      w.end_array();
-      w.key("metrics");
-      uavcov::obs::write_snapshot(w, snapshot);
-      w.end_object();
     }
   }
 
   // Streaming churn drill (docs/STREAMING.md): one pinned (scenario,
   // churn trace) pair through the StreamEngine — epoch-batched ingest,
   // delta patches, hysteresis-gated full re-solves.  Append-only like the
-  // other cases; part of the quick subset.  The identity entries are the
-  // first-epoch full solve and the final standing solution, so any
-  // behavioral change to the trace generator, ingest, patch path, or
-  // hysteresis moves a pinned fingerprint here; the stream.* counters land
-  // in the embedded metrics snapshot.
+  // other cases; part of the quick subset.  The rows are the first-epoch
+  // full solve and the final standing solution, so any behavioral change
+  // to the trace generator, ingest, patch path, or hysteresis moves a
+  // pinned fingerprint here; the stream.* counters land in the embedded
+  // metrics snapshot.
   {
     const BenchCase c{"stream_churn_s1", 109, 400, 8, 2, 150, true};
-    std::cerr << "[bench_runner] " << c.name << " (n=" << c.users
-              << ", K=" << c.uavs << ", s=" << c.s << ")\n";
     const uavcov::eval::RunConfig config = make_config(c);
-    uavcov::Rng rng(config.seed);
-    const uavcov::Scenario scenario =
-        uavcov::workload::make_disaster_scenario(config.scenario, rng);
-
+    const Scenario scenario = disaster_scenario(config);
     uavcov::stream::ChurnTraceConfig trace_config;
     trace_config.epochs = 8;
     trace_config.max_arrivals_per_epoch = 12;
@@ -413,87 +287,35 @@ int main(int argc, char** argv) {
     const uavcov::stream::ChurnTrace trace =
         uavcov::stream::generate_trace(scenario, trace_config,
                                        c.seed * 1013);
-
     uavcov::stream::StreamPolicy policy;
     policy.appro = config.appro;
-    std::uint64_t initial_fp = 0;
-    std::uint64_t final_fp = 0;
-    std::int64_t initial_served = 0;
-    std::int64_t final_served = 0;
-    std::int64_t full_solves = 0;
-    std::int64_t patches = 0;
-    double stream_seconds = 1e300;
-    for (std::int32_t rep = 0; rep < repeats; ++rep) {
-      if (rep == repeats - 1) registry.reset();
+    const auto drill = [&] {
       uavcov::stream::StreamEngine engine(scenario, policy);
-      const uavcov::Stopwatch watch;
       const std::vector<uavcov::stream::EpochResult> results =
           engine.run(trace);
-      const double run_s = watch.elapsed_s();
-      const std::uint64_t fp0 = results.front().solution.fingerprint();
-      const std::uint64_t fpN = results.back().solution.fingerprint();
-      if (rep == 0) {
-        initial_fp = fp0;
-        initial_served = results.front().solution.served;
-        final_fp = fpN;
-        final_served = results.back().solution.served;
-        full_solves = engine.full_solves();
-        patches = engine.patches();
-      } else {
-        UAVCOV_CHECK_MSG(fp0 == initial_fp && fpN == final_fp &&
-                             engine.full_solves() == full_solves,
-                         "non-deterministic streamed run in stream_churn_s1");
-      }
-      stream_seconds = std::min(stream_seconds, run_s);
-    }
-    const uavcov::obs::Snapshot snapshot = registry.snapshot();
-
-    w.begin_object();
-    w.kv("name", c.name);
-    w.kv("seed", static_cast<std::int64_t>(c.seed));
-    w.kv("users", c.users);
-    w.kv("uavs", c.uavs);
-    w.kv("s", c.s);
-    w.kv("scenario_fingerprint",
-         uavcov::fingerprint_hex(scenario.fingerprint()));
-    w.kv("trace_fingerprint", uavcov::fingerprint_hex(trace.fingerprint()));
-    w.kv("full_solves", full_solves);
-    w.kv("patches", patches);
-    w.key("algorithms").begin_array();
-    w.begin_object();
-    w.kv("name", "stream_initial");
-    w.kv("served", initial_served);
-    w.kv("fingerprint", uavcov::fingerprint_hex(initial_fp));
-    w.kv("seconds", stream_seconds);
-    w.end_object();
-    w.begin_object();
-    w.kv("name", "stream_final");
-    w.kv("served", final_served);
-    w.kv("fingerprint", uavcov::fingerprint_hex(final_fp));
-    w.kv("seconds", stream_seconds);
-    w.end_object();
-    w.end_array();
-    w.key("metrics");
-    uavcov::obs::write_snapshot(w, snapshot);
-    w.end_object();
+      const Solution& last = results.back().solution;
+      require_valid(c.name + "/stream_final", engine.ingest().scenario(),
+                    last);
+      return Outcome{{row("stream_initial", results.front().solution),
+                      row("stream_final", last)},
+                     {{"full_solves", engine.full_solves()},
+                      {"patches", engine.patches()}}};
+    };
+    run_case(w, c, scenario, {{"trace_fingerprint", trace.fingerprint()}},
+             drill);
   }
 
   // Sharded mission-service drill (docs/SERVICE.md): one pinned
   // (scenario, tiling, shard-fault plan) triple through solve_mission —
   // tile, supervise with retries and a seeded fault, fall back, stitch.
-  // Append-only like the other cases; part of the quick subset.  The
-  // identity entry is the stitched solution (algorithm service.sharded),
-  // and the degraded-tile / attempt counters ride along as extra keys; the
+  // Append-only like the other cases; part of the quick subset.  The row
+  // is the stitched solution (algorithm service.sharded), and the
+  // degraded-tile / attempt counters ride along as case-level counts; the
   // service.* counters land in the embedded metrics snapshot.
   {
     const BenchCase c{"service_sharded_s1", 110, 400, 8, 1, 150, true};
-    std::cerr << "[bench_runner] " << c.name << " (n=" << c.users
-              << ", K=" << c.uavs << ", s=" << c.s << ")\n";
     const uavcov::eval::RunConfig config = make_config(c);
-    uavcov::Rng rng(config.seed);
-    const uavcov::Scenario scenario =
-        uavcov::workload::make_disaster_scenario(config.scenario, rng);
-
+    const Scenario scenario = disaster_scenario(config);
     uavcov::service::MissionConfig mission;
     mission.tiling.tiles_x = 2;
     mission.tiling.tiles_y = 2;
@@ -507,65 +329,46 @@ int main(int argc, char** argv) {
         uavcov::service::make_shard_fault_plan(
             mission.tiling.tiles_x * mission.tiling.tiles_y, chaos_config,
             c.seed * 1019);
-
-    std::uint64_t solution_fp = 0;
-    std::int64_t served = 0;
-    std::int32_t degraded = 0;
-    std::int32_t attempts = 0;
-    std::int32_t retries = 0;
-    double mission_seconds = 1e300;
-    for (std::int32_t rep = 0; rep < repeats; ++rep) {
-      if (rep == repeats - 1) registry.reset();
-      const uavcov::Stopwatch watch;
+    const auto drill = [&] {
       const uavcov::service::JobResult result =
           uavcov::service::solve_mission(scenario, mission, &chaos);
-      const double run_s = watch.elapsed_s();
-      if (rep == 0) {
-        solution_fp = result.solution.fingerprint();
-        served = result.solution.served;
-        degraded = result.report.degraded_tiles();
-        attempts = result.stats.attempts;
-        retries = result.stats.retries;
-      } else {
-        UAVCOV_CHECK_MSG(result.solution.fingerprint() == solution_fp &&
-                             result.stats.attempts == attempts,
-                         "non-deterministic sharded mission in "
-                         "service_sharded_s1");
-      }
-      mission_seconds = std::min(mission_seconds, run_s);
-    }
-    const uavcov::obs::Snapshot snapshot = registry.snapshot();
-
-    w.begin_object();
-    w.kv("name", c.name);
-    w.kv("seed", static_cast<std::int64_t>(c.seed));
-    w.kv("users", c.users);
-    w.kv("uavs", c.uavs);
-    w.kv("s", c.s);
-    w.kv("scenario_fingerprint",
-         uavcov::fingerprint_hex(scenario.fingerprint()));
-    w.kv("fault_plan_fingerprint",
-         uavcov::fingerprint_hex(chaos.fingerprint()));
-    w.kv("degraded_tiles", static_cast<std::int64_t>(degraded));
-    w.kv("attempts", static_cast<std::int64_t>(attempts));
-    w.kv("retries", static_cast<std::int64_t>(retries));
-    w.key("algorithms").begin_array();
-    w.begin_object();
-    w.kv("name", "service_sharded");
-    w.kv("served", served);
-    w.kv("fingerprint", uavcov::fingerprint_hex(solution_fp));
-    w.kv("seconds", mission_seconds);
-    w.end_object();
-    w.end_array();
-    w.key("metrics");
-    uavcov::obs::write_snapshot(w, snapshot);
-    w.end_object();
+      require_valid(c.name + "/service_sharded", scenario, result.solution);
+      return Outcome{{row("service_sharded", result.solution)},
+                     {{"degraded_tiles", result.report.degraded_tiles()},
+                      {"attempts", result.stats.attempts},
+                      {"retries", result.stats.retries}}};
+    };
+    run_case(w, c, scenario,
+             {{"fault_plan_fingerprint", chaos.fingerprint()}}, drill);
   }
+}
 
+}  // namespace
+
+int main(int argc, char** argv) {
+  uavcov::CliParser cli;
+  cli.add_flag("quick", "run only the quick subset (the ctest leg)", "false");
+  cli.add_flag("out", "output JSON path", "BENCH_coverage.json");
+  if (!cli.parse(argc, argv)) return 0;
+
+  const bool quick = cli.get_bool("quick");
+  const std::string out_path = cli.get_string("out");
+  uavcov::obs::Registry::instance().set_enabled(true);
+
+  uavcov::obs::JsonWriter w;
+  w.begin_object();
+  w.kv("schema_version", std::int64_t{1});
+  w.kv("suite", quick ? "quick" : "full");
+  w.key("cases").begin_array();
+  try {
+    run_suite(w, quick, out_path);
+  } catch (const std::exception& e) {
+    std::cerr << "[bench_runner] FAIL: " << e.what() << "\n";
+    return 1;
+  }
   w.end_array();
   w.end_object();
 
-  const std::string out_path = cli.get_string("out");
   std::ofstream out(out_path);
   UAVCOV_CHECK_MSG(out.good(), "cannot open output file " + out_path);
   out << w.take() << "\n";

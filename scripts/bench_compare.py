@@ -2,33 +2,23 @@
 """Diff two BENCH_coverage.json documents (see docs/OBSERVABILITY.md).
 
 Usage:
-    bench_compare.py BASELINE CURRENT [--time-tolerance 0.25]
-                     [--min-seconds 0.005] [--ignore-times]
+    bench_compare.py BASELINE CURRENT
 
-Identity checks (always exact — any mismatch is a failure):
+Identity checks (exact — any mismatch is a failure):
   * schema_version,
   * per-case scenario fingerprint and (seed, users, uavs, s) parameters,
   * per-algorithm served count and solution fingerprint,
   * every metrics counter value and histogram sample count.
 
-Time checks (skipped with --ignore-times): per-algorithm wall times are
-normalized by the calibration-workload ratio, then the gate fails when
-    normalized_current > baseline * (1 + time_tolerance)
-for algorithms whose baseline time is at least --min-seconds (timing
-noise dominates below that).  Speedups never fail.
-
-Cases are matched by name; the comparison runs over the intersection so a
-`--quick` run can be checked against a full-suite baseline (and vice
-versa).  An empty intersection is an error.
+Nothing is timed here; perfbench/ (BENCHMARK.json) is the timing
+benchmark.  Cases are matched by name; the comparison runs over the
+intersection so a `--quick` run can be checked against a full-suite
+baseline (and vice versa).  An empty intersection is an error.
 """
 
 import argparse
 import json
 import sys
-
-# Histogram sums/min/max are wall-clock derived; only the sample counts are
-# reproducible.  Gauges (queue depth) depend on thread scheduling.
-_SKIPPED_METRIC_FIELDS = ("sum", "min", "max", "buckets")
 
 
 def load(path):
@@ -68,27 +58,10 @@ def compare_algorithms(case_name, base_algos, cur_algos, report):
             )
 
 
-def compare_times(case_name, base_algos, cur_algos, scale, args, report):
-    cur_by_name = {a["name"]: a for a in cur_algos}
-    for base in base_algos:
-        name = base["name"]
-        cur = cur_by_name.get(name)
-        if cur is None:
-            continue  # already reported as an identity failure
-        base_s = base["seconds"]
-        if base_s < args.min_seconds:
-            continue
-        normalized = cur["seconds"] * scale
-        limit = base_s * (1.0 + args.time_tolerance)
-        if normalized > limit:
-            report.fail(
-                f"{case_name}/{name}: time regression "
-                f"{base_s:.4f}s -> {normalized:.4f}s normalized "
-                f"(raw {cur['seconds']:.4f}s, limit {limit:.4f}s)"
-            )
-
-
 def compare_metrics(case_name, base_metrics, cur_metrics, report):
+    # Histogram sums/min/max/buckets are wall-clock derived; only the sample
+    # counts are reproducible.  Gauges (queue depth) depend on thread
+    # scheduling and are not compared.
     base_counters = base_metrics.get("counters", {})
     cur_counters = cur_metrics.get("counters", {})
     for name, value in sorted(base_counters.items()):
@@ -117,23 +90,6 @@ def main():
     )
     parser.add_argument("baseline")
     parser.add_argument("current")
-    parser.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional slowdown after normalization (default 0.25)",
-    )
-    parser.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.005,
-        help="skip time checks for baseline times below this (default 5 ms)",
-    )
-    parser.add_argument(
-        "--ignore-times",
-        action="store_true",
-        help="identity checks only (local runs, VMs with noisy clocks)",
-    )
     args = parser.parse_args()
 
     baseline = load(args.baseline)
@@ -145,18 +101,6 @@ def main():
             f"schema_version {baseline['schema_version']} != "
             f"{current['schema_version']}"
         )
-
-    # Calibration ratio > 1 means the current machine is slower than the
-    # baseline machine; dividing by it credits the slowdown back.
-    scale = 1.0
-    if not args.ignore_times:
-        base_cal = baseline.get("calibration_seconds", 0.0)
-        cur_cal = current.get("calibration_seconds", 0.0)
-        if base_cal > 0 and cur_cal > 0:
-            scale = base_cal / cur_cal
-            report.note(f"calibration scale: {scale:.3f}")
-        else:
-            report.note("no calibration data; comparing raw times")
 
     base_cases = {c["name"]: c for c in baseline["cases"]}
     cur_cases = {c["name"]: c for c in current["cases"]}
@@ -177,11 +121,6 @@ def main():
         compare_metrics(
             name, base.get("metrics", {}), cur.get("metrics", {}), report
         )
-        if not args.ignore_times:
-            compare_times(
-                name, base["algorithms"], cur["algorithms"], scale, args,
-                report,
-            )
 
     for note in report.notes:
         print(f"[bench_compare] note: {note}")

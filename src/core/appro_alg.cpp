@@ -116,8 +116,9 @@ std::vector<LocationId> greedy_place(
     taken.assign(pool.size(), false);
     for (std::int32_t k = 0; k < l_max && !heap.empty(); ++k) {
       // Cooperative deadline: a truncated greedy prefix is still a valid
-      // (independent, feasible) placement, so stopping here is safe.
-      if (deadline != nullptr && deadline->expired()) break;
+      // (independent, feasible) placement, so stopping here is safe.  The
+      // first round always runs, so every evaluated subset places a UAV.
+      if (k > 0 && deadline != nullptr && deadline->expired()) break;
       const UavId uav = uav_order[static_cast<std::size_t>(k)];
       LocationId pick = kInvalidLocation;
       std::int32_t pick_idx = -1;
@@ -163,7 +164,7 @@ std::vector<LocationId> greedy_place(
     // Plain greedy: probe every feasible pool entry each iteration.
     taken.assign(pool.size(), false);
     for (std::int32_t k = 0; k < l_max; ++k) {
-      if (deadline != nullptr && deadline->expired()) break;
+      if (k > 0 && deadline != nullptr && deadline->expired()) break;
       const UavId uav = uav_order[static_cast<std::size_t>(k)];
       std::int64_t best_gain = -1;
       std::int32_t best_idx = -1;

@@ -67,8 +67,9 @@ struct ApproAlgParams {
   /// checks the budget cooperatively between seed subsets and between
   /// greedy rounds and, once expired, returns the best *valid* solution
   /// found so far with stats.deadline_hit = true.  At least one subset is
-  /// always evaluated, so the result is never gratuitously empty; a run
-  /// whose budget never binds is bit-identical to an unbudgeted run.
+  /// always evaluated and its greedy always places its first UAV, so the
+  /// result is never gratuitously empty; a run whose budget never binds is
+  /// bit-identical to an unbudgeted run.
   /// Used by the resilience repair controller (docs/RESILIENCE.md) to
   /// bound repair latency in emergency operation.
   double time_budget_s = 0.0;

@@ -42,10 +42,11 @@ void RedeployPolicy::validate() const {
 const Solution& RedeployController::update(const Scenario& scenario) {
   policy_.validate();
   const obs::ScopedTimer timer(redeploy_metrics().update_seconds);
+  // One coverage model serves both paths (it depends only on the scenario).
+  const CoverageModel coverage(scenario);
   // Cheap path: keep the standing placement, refresh the assignment (user
   // positions changed, so eligibility did too).
   if (!solution_.deployments.empty()) {
-    const CoverageModel coverage(scenario);
     const AssignmentResult refreshed =
         solve_assignment(scenario, coverage, solution_.deployments);
     solution_.user_to_deployment = refreshed.user_to_deployment;
@@ -58,7 +59,7 @@ const Solution& RedeployController::update(const Scenario& scenario) {
   }
   // Full path: re-run Algorithm 2 from scratch.
   const std::vector<Deployment> before = solution_.deployments;
-  solution_ = appro_alg(scenario, policy_.appro);
+  solution_ = appro_alg(scenario, coverage, policy_.appro);
   served_at_last_solve_ = solution_.served;
   ++full_solves_;
   redeploy_metrics().full_solves.inc();

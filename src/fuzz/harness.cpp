@@ -1,6 +1,7 @@
 #include "fuzz/harness.hpp"
 
 #include <array>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "fuzz/scenario_decoder.hpp"
 #include "fuzz/stream_decoder.hpp"
 #include "io/serialize.hpp"
+#include "io/trace.hpp"
 #include "resilience/impact.hpp"
 #include "resilience/repair.hpp"
 #include "service/service.hpp"
@@ -108,6 +110,8 @@ std::string serialized(const T& value, io::Format format) {
   std::ostringstream out;
   if constexpr (std::is_same_v<T, Scenario>) {
     io::save_scenario(out, value, format);
+  } else if constexpr (std::is_same_v<T, stream::ChurnTrace>) {
+    io::save_trace(out, value, format);
   } else {
     io::save_solution(out, value, format);
   }
@@ -290,6 +294,21 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
       (void)io::load_solution(in, /*user_count=*/16);
     } catch (const ContractError&) {
     } catch (const std::invalid_argument&) {
+    }
+    // load_trace sniffs "UAVCTRC1" the same way.  Only the raw parse may
+    // reject: a trace that parsed must re-save to a fixed point in both
+    // formats, so a re-load failure escapes as a harness failure.
+    std::optional<stream::ChurnTrace> trace;
+    try {
+      trace = io::load_trace(std::string_view(text));
+    } catch (const ContractError&) {
+    }
+    for (const io::Format format : {io::Format::kText, io::Format::kBinary}) {
+      if (!trace) break;
+      const std::string saved = serialized(*trace, format);
+      require(serialized(io::load_trace(std::string_view(saved)), format) ==
+                  saved,
+              "re-serialized trace is not a fixed point");
     }
     try {
       (void)parse_csv_row(text);

@@ -48,8 +48,10 @@ void run_appro_alg_harness(const std::uint8_t* data, std::size_t size);
 void run_segment_plan_harness(const std::uint8_t* data, std::size_t size);
 
 /// Serialization: decode(encode(x)) == x bit-exactly for scenarios and
-/// solutions, CSV quote/parse inversion, and — on raw byte inputs — parsers
-/// must either succeed or throw a documented error type, never crash.
+/// solutions, CSV quote/parse inversion, and — on raw byte inputs — the
+/// scenario, solution and trace parsers must either succeed or throw a
+/// documented error type, never crash; a scenario or trace that parsed
+/// must re-save to a fixed point in both formats.
 void run_serialize_roundtrip_harness(const std::uint8_t* data,
                                      std::size_t size);
 

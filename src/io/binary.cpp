@@ -1,43 +1,26 @@
 #include "io/binary.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/fingerprint.hpp"
-#include "obs/metrics.hpp"
+#include "io/codec.hpp"
 
 namespace uavcov::io {
 
 namespace {
 
-// Load-path metrics (docs/OBSERVABILITY.md).  Counters only carry
-// deterministic values (call and byte counts), so the bench identity gate
-// can compare them exactly.
-struct BinaryIoMetrics {
-  obs::Counter loads = obs::counter("io.binary.loads");
-  obs::Counter saves = obs::counter("io.binary.saves");
-  obs::Counter bytes_read = obs::counter("io.binary.bytes_read");
-  obs::Counter bytes_written = obs::counter("io.binary.bytes_written");
-  obs::Histogram load_seconds = obs::histogram("io.binary.load_seconds");
-};
-
-const BinaryIoMetrics& binary_metrics() {
-  static const BinaryIoMetrics metrics;
-  return metrics;
-}
-
-constexpr std::size_t kMagicBytes = 8;
-constexpr std::size_t kHeaderBytes = 24;   // magic + version + count + size.
-constexpr std::size_t kEntryBytes = 32;    // id + reserved + off + size + sum.
-constexpr std::size_t kAlign = 8;
-constexpr std::uint32_t kMaxSections = 4096;
+using codec::Document;
+using codec::get_u32;
+using codec::get_u64;
+using codec::Kind;
+using codec::put_u32;
+using codec::put_u64;
+using codec::Section;
 
 // Scenario section ids.
 constexpr std::uint32_t kSecGeometry = 1;   // width,height,cell,alt,range.
@@ -60,291 +43,76 @@ constexpr std::uint32_t kSecAssignment = 5;
 
 constexpr bool kHostLittleEndian = std::endian::native == std::endian::little;
 
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t payload_checksum(std::string_view bytes) {
-  Fnv1a h;
-  for (const char c : bytes) h.mix_byte(static_cast<std::uint8_t>(c));
-  return h.digest();
-}
-
 using Payload = std::vector<std::uint8_t>;
 
-void append_doubles(Payload& out, const double* data, std::size_t count) {
+/// Appends `count` 4- or 8-byte values as one little-endian column.
+template <typename T>
+void append_column(Payload& out, const T* data, std::size_t count) {
   const std::size_t at = out.size();
-  out.resize(at + count * sizeof(double));
+  out.resize(at + count * sizeof(T));
   if constexpr (kHostLittleEndian) {
-    if (count > 0) std::memcpy(out.data() + at, data, count * sizeof(double));
+    if (count > 0) std::memcpy(out.data() + at, data, count * sizeof(T));
   } else {
     for (std::size_t i = 0; i < count; ++i) {
-      put_u64(out.data() + at + i * 8, std::bit_cast<std::uint64_t>(data[i]));
+      std::uint8_t* p = out.data() + at + i * sizeof(T);
+      if constexpr (sizeof(T) == 8) {
+        put_u64(p, std::bit_cast<std::uint64_t>(data[i]));
+      } else {
+        put_u32(p, std::bit_cast<std::uint32_t>(data[i]));
+      }
     }
   }
 }
 
-void append_i32s(Payload& out, const std::int32_t* data, std::size_t count) {
-  const std::size_t at = out.size();
-  out.resize(at + count * sizeof(std::int32_t));
+void append_double(Payload& out, double v) { append_column(out, &v, 1); }
+
+const std::uint8_t* raw_bytes(std::string_view bytes) {
+  return reinterpret_cast<const std::uint8_t*>(bytes.data());
+}
+
+/// Section `id` decoded as a little-endian column of 4- or 8-byte values.
+template <typename T>
+std::vector<T> read_column(const Document& doc, std::uint32_t id,
+                           const char* name) {
+  const std::string_view bytes = doc.section(id, name);
+  UAVCOV_CHECK_MSG(bytes.size() % sizeof(T) == 0,
+                   doc.what() + " section " + name +
+                       ": size is not a multiple of " +
+                       std::to_string(sizeof(T)));
+  std::vector<T> out(bytes.size() / sizeof(T));
   if constexpr (kHostLittleEndian) {
-    if (count > 0) {
-      std::memcpy(out.data() + at, data, count * sizeof(std::int32_t));
-    }
+    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      put_u32(out.data() + at + i * 4,
-              static_cast<std::uint32_t>(data[i]));
-    }
-  }
-}
-
-void append_double(Payload& out, double v) { append_doubles(out, &v, 1); }
-
-struct Section {
-  std::uint32_t id = 0;
-  Payload bytes;
-};
-
-std::size_t align_up(std::size_t at) {
-  return (at + kAlign - 1) / kAlign * kAlign;
-}
-
-/// Assembles header + table + aligned payloads into one buffer and writes
-/// it with a single out.write.
-void write_document(std::ostream& out, std::string_view magic,
-                    const std::vector<Section>& sections) {
-  std::size_t at = align_up(kHeaderBytes + sections.size() * kEntryBytes);
-  std::vector<std::size_t> offsets;
-  offsets.reserve(sections.size());
-  for (const Section& s : sections) {
-    offsets.push_back(at);
-    at = align_up(at + s.bytes.size());
-  }
-  // Total size is the end of the last payload, unpadded.
-  const std::size_t total =
-      sections.empty()
-          ? kHeaderBytes
-          : offsets.back() + sections.back().bytes.size();
-  std::vector<std::uint8_t> file(total, 0);
-  std::memcpy(file.data(), magic.data(), kMagicBytes);
-  put_u32(file.data() + 8, kBinaryFormatVersion);
-  put_u32(file.data() + 12, static_cast<std::uint32_t>(sections.size()));
-  put_u64(file.data() + 16, static_cast<std::uint64_t>(total));
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    std::uint8_t* entry = file.data() + kHeaderBytes + i * kEntryBytes;
-    put_u32(entry, sections[i].id);
-    put_u32(entry + 4, 0);  // reserved.
-    put_u64(entry + 8, static_cast<std::uint64_t>(offsets[i]));
-    put_u64(entry + 16, static_cast<std::uint64_t>(sections[i].bytes.size()));
-    put_u64(entry + 24,
-            payload_checksum({reinterpret_cast<const char*>(
-                                  sections[i].bytes.data()),
-                              sections[i].bytes.size()}));
-    if (!sections[i].bytes.empty()) {
-      std::memcpy(file.data() + offsets[i], sections[i].bytes.data(),
-                  sections[i].bytes.size());
-    }
-  }
-  out.write(reinterpret_cast<const char*>(file.data()),
-            static_cast<std::streamsize>(file.size()));
-  UAVCOV_CHECK_MSG(out.good(), "failed writing binary document");
-  binary_metrics().saves.inc();
-  binary_metrics().bytes_written.inc(static_cast<std::int64_t>(file.size()));
-}
-
-struct SectionView {
-  std::uint32_t id = 0;
-  std::string_view bytes;
-};
-
-/// Validates the header and section table of an in-memory document and
-/// verifies every checksum.  `what` names the expected document kind in
-/// error messages; a recognizable magic of the *other* kind produces a
-/// specific error so a solution handed to the scenario loader (or vice
-/// versa) fails by name, not by "bad magic".
-std::vector<SectionView> parse_document(std::string_view data,
-                                        std::string_view magic,
-                                        const std::string& what) {
-  UAVCOV_CHECK_MSG(data.size() >= kHeaderBytes,
-                   "binary " + what + ": truncated header at byte offset " +
-                       std::to_string(data.size()) + " (need " +
-                       std::to_string(kHeaderBytes) + " bytes)");
-  if (data.substr(0, kMagicBytes) != magic) {
-    const std::string_view other = (magic == kBinaryScenarioMagic)
-                                       ? kBinarySolutionMagic
-                                       : kBinaryScenarioMagic;
-    UAVCOV_CHECK_MSG(data.substr(0, kMagicBytes) != other,
-                     "binary " + what + ": input is a binary uavcov " +
-                         (magic == kBinaryScenarioMagic ? "solution"
-                                                        : "scenario") +
-                         ", not a " + what);
-    UAVCOV_CHECK_MSG(false, "binary " + what + ": bad magic");
-  }
-  const std::uint8_t* raw =
-      reinterpret_cast<const std::uint8_t*>(data.data());
-  const std::uint32_t version = get_u32(raw + 8);
-  UAVCOV_CHECK_MSG(version == kBinaryFormatVersion,
-                   "binary " + what + ": unsupported format version " +
-                       std::to_string(version) + " (reader supports " +
-                       std::to_string(kBinaryFormatVersion) + ")");
-  const std::uint32_t count = get_u32(raw + 12);
-  UAVCOV_CHECK_MSG(count <= kMaxSections,
-                   "binary " + what + ": unreasonable section count " +
-                       std::to_string(count));
-  const std::uint64_t declared_size = get_u64(raw + 16);
-  UAVCOV_CHECK_MSG(declared_size == data.size(),
-                   "binary " + what + ": declared size " +
-                       std::to_string(declared_size) +
-                       " (size field at byte offset 16) != actual " +
-                       std::to_string(data.size()) + " (truncated?)");
-  const std::size_t table_end = kHeaderBytes + count * kEntryBytes;
-  UAVCOV_CHECK_MSG(table_end <= data.size(),
-                   "binary " + what +
-                       ": section table ends at byte offset " +
-                       std::to_string(table_end) + " but the file is " +
-                       std::to_string(data.size()) + " bytes");
-
-  std::vector<SectionView> sections;
-  sections.reserve(count);
-  std::set<std::uint32_t> seen;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::size_t entry_offset = kHeaderBytes + i * kEntryBytes;
-    const std::uint8_t* entry = raw + entry_offset;
-    SectionView s;
-    s.id = get_u32(entry);
-    const std::uint64_t offset = get_u64(entry + 8);
-    const std::uint64_t size = get_u64(entry + 16);
-    const std::uint64_t checksum = get_u64(entry + 24);
-    const std::string where = "binary " + what + " section " +
-                              std::to_string(s.id) +
-                              " (table entry at byte offset " +
-                              std::to_string(entry_offset) + ")";
-    UAVCOV_CHECK_MSG(seen.insert(s.id).second, where + ": duplicate id");
-    UAVCOV_CHECK_MSG(offset % kAlign == 0,
-                     where + ": unaligned offset " + std::to_string(offset));
-    UAVCOV_CHECK_MSG(offset >= table_end && size <= data.size() &&
-                         offset <= data.size() - size,
-                     where + ": payload out of bounds (bytes [" +
-                         std::to_string(offset) + ", " +
-                         std::to_string(offset) + "+" + std::to_string(size) +
-                         ") in a " + std::to_string(data.size()) +
-                         "-byte file)");
-    s.bytes = data.substr(static_cast<std::size_t>(offset),
-                          static_cast<std::size_t>(size));
-    UAVCOV_CHECK_MSG(payload_checksum(s.bytes) == checksum,
-                     where + ": checksum mismatch (corrupt payload)");
-    sections.push_back(s);
-  }
-  return sections;
-}
-
-const SectionView& require_section(const std::vector<SectionView>& sections,
-                                   std::uint32_t id, const std::string& what,
-                                   const char* name) {
-  for (const SectionView& s : sections) {
-    if (s.id == id) return s;
-  }
-  UAVCOV_CHECK_MSG(false, "binary " + what + ": missing required section " +
-                              name);
-  // Unreachable; UAVCOV_CHECK_MSG throws.
-  std::abort();
-}
-
-void require_known_ids(const std::vector<SectionView>& sections,
-                       std::uint32_t max_id, const std::string& what) {
-  for (const SectionView& s : sections) {
-    UAVCOV_CHECK_MSG(s.id >= 1 && s.id <= max_id,
-                     "binary " + what + ": unknown section id " +
-                         std::to_string(s.id));
-  }
-}
-
-std::vector<double> read_doubles(const SectionView& s,
-                                 const std::string& what, const char* name) {
-  UAVCOV_CHECK_MSG(s.bytes.size() % sizeof(double) == 0,
-                   "binary " + what + " section " + name +
-                       ": size is not a multiple of 8");
-  const std::size_t count = s.bytes.size() / sizeof(double);
-  std::vector<double> out(count);
-  if constexpr (kHostLittleEndian) {
-    if (count > 0) std::memcpy(out.data(), s.bytes.data(), s.bytes.size());
-  } else {
-    const std::uint8_t* raw =
-        reinterpret_cast<const std::uint8_t*>(s.bytes.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = std::bit_cast<double>(get_u64(raw + i * 8));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::uint8_t* p = raw_bytes(bytes) + i * sizeof(T);
+      if constexpr (sizeof(T) == 8) {
+        out[i] = std::bit_cast<T>(get_u64(p));
+      } else {
+        out[i] = std::bit_cast<T>(get_u32(p));
+      }
     }
   }
   return out;
 }
 
-std::vector<std::int32_t> read_i32s(const SectionView& s,
-                                    const std::string& what,
-                                    const char* name) {
-  UAVCOV_CHECK_MSG(s.bytes.size() % sizeof(std::int32_t) == 0,
-                   "binary " + what + " section " + name +
-                       ": size is not a multiple of 4");
-  const std::size_t count = s.bytes.size() / sizeof(std::int32_t);
-  std::vector<std::int32_t> out(count);
-  if constexpr (kHostLittleEndian) {
-    if (count > 0) std::memcpy(out.data(), s.bytes.data(), s.bytes.size());
-  } else {
-    const std::uint8_t* raw =
-        reinterpret_cast<const std::uint8_t*>(s.bytes.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = static_cast<std::int32_t>(get_u32(raw + i * 4));
-    }
-  }
-  return out;
-}
-
-std::vector<double> read_fixed_doubles(const SectionView& s,
-                                       std::size_t count,
-                                       const std::string& what,
-                                       const char* name) {
-  UAVCOV_CHECK_MSG(s.bytes.size() == count * sizeof(double),
-                   "binary " + what + " section " + name + ": expected " +
+std::vector<double> read_fixed_doubles(const Document& doc, std::uint32_t id,
+                                       const char* name, std::size_t count) {
+  const std::size_t size = doc.section(id, name).size();
+  UAVCOV_CHECK_MSG(size == count * sizeof(double),
+                   doc.what() + " section " + name + ": expected " +
                        std::to_string(count * sizeof(double)) +
-                       " bytes, got " + std::to_string(s.bytes.size()));
-  return read_doubles(s, what, name);
-}
-
-/// One large read of the remaining stream — the binary loaders work from
-/// an in-memory image.
-std::string slurp(std::istream& in) {
-  std::string data;
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    data.append(buffer, static_cast<std::size_t>(in.gcount()));
-  }
-  return data;
+                       " bytes, got " + std::to_string(size));
+  return read_column<double>(doc, id, name);
 }
 
 }  // namespace
 
 bool has_binary_scenario_magic(std::string_view bytes) {
-  return bytes.substr(0, kMagicBytes) == kBinaryScenarioMagic;
+  return codec::has_magic(bytes, Kind::kScenario);
 }
 
 bool has_binary_solution_magic(std::string_view bytes) {
-  return bytes.substr(0, kMagicBytes) == kBinarySolutionMagic;
+  return codec::has_magic(bytes, Kind::kSolution);
 }
 
 void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
@@ -378,17 +146,17 @@ void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
   std::vector<double> column(n);
   for (std::size_t i = 0; i < n; ++i) column[i] = scenario.users.raw()[i].pos.x;
   Section user_x{kSecUserX, {}};
-  append_doubles(user_x.bytes, column.data(), n);
+  append_column(user_x.bytes, column.data(), n);
   sections.push_back(std::move(user_x));
   for (std::size_t i = 0; i < n; ++i) column[i] = scenario.users.raw()[i].pos.y;
   Section user_y{kSecUserY, {}};
-  append_doubles(user_y.bytes, column.data(), n);
+  append_column(user_y.bytes, column.data(), n);
   sections.push_back(std::move(user_y));
   for (std::size_t i = 0; i < n; ++i) {
     column[i] = scenario.users.raw()[i].min_rate_bps;
   }
   Section user_rate{kSecUserRate, {}};
-  append_doubles(user_rate.bytes, column.data(), n);
+  append_column(user_rate.bytes, column.data(), n);
   sections.push_back(std::move(user_rate));
 
   std::vector<std::int32_t> capacity(K);
@@ -403,55 +171,37 @@ void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
     range[k] = u.user_range_m;
   }
   Section uav_capacity{kSecUavCapacity, {}};
-  append_i32s(uav_capacity.bytes, capacity.data(), K);
+  append_column(uav_capacity.bytes, capacity.data(), K);
   sections.push_back(std::move(uav_capacity));
   Section uav_tx{kSecUavTx, {}};
-  append_doubles(uav_tx.bytes, tx.data(), K);
+  append_column(uav_tx.bytes, tx.data(), K);
   sections.push_back(std::move(uav_tx));
   Section uav_gain{kSecUavGain, {}};
-  append_doubles(uav_gain.bytes, gain.data(), K);
+  append_column(uav_gain.bytes, gain.data(), K);
   sections.push_back(std::move(uav_gain));
   Section uav_range{kSecUavRange, {}};
-  append_doubles(uav_range.bytes, range.data(), K);
+  append_column(uav_range.bytes, range.data(), K);
   sections.push_back(std::move(uav_range));
 
-  write_document(out, kBinaryScenarioMagic, sections);
+  codec::write_document(out, Kind::kScenario, sections);
 }
 
 Scenario load_scenario_binary(std::string_view bytes) {
-  const obs::ScopedTimer timer(binary_metrics().load_seconds);
-  const std::string what = "scenario";
-  const std::vector<SectionView> sections =
-      parse_document(bytes, kBinaryScenarioMagic, what);
-  require_known_ids(sections, kSecUavRange, what);
-
-  const std::vector<double> geometry = read_fixed_doubles(
-      require_section(sections, kSecGeometry, what, "geometry"), 5, what,
-      "geometry");
-  const std::vector<double> channel = read_fixed_doubles(
-      require_section(sections, kSecChannel, what, "channel"), 5, what,
-      "channel");
-  const std::vector<double> receiver = read_fixed_doubles(
-      require_section(sections, kSecReceiver, what, "receiver"), 2, what,
-      "receiver");
-  const std::vector<double> user_x = read_doubles(
-      require_section(sections, kSecUserX, what, "user_x"), what, "user_x");
-  const std::vector<double> user_y = read_doubles(
-      require_section(sections, kSecUserY, what, "user_y"), what, "user_y");
-  const std::vector<double> user_rate =
-      read_doubles(require_section(sections, kSecUserRate, what, "user_rate"),
-                   what, "user_rate");
-  const std::vector<std::int32_t> capacity = read_i32s(
-      require_section(sections, kSecUavCapacity, what, "uav_capacity"), what,
-      "uav_capacity");
-  const std::vector<double> tx = read_doubles(
-      require_section(sections, kSecUavTx, what, "uav_tx"), what, "uav_tx");
-  const std::vector<double> gain =
-      read_doubles(require_section(sections, kSecUavGain, what, "uav_gain"),
-                   what, "uav_gain");
-  const std::vector<double> range =
-      read_doubles(require_section(sections, kSecUavRange, what, "uav_range"),
-                   what, "uav_range");
+  const Document doc(bytes, Kind::kScenario, kSecUavRange);
+  const std::vector<double> geometry =
+      read_fixed_doubles(doc, kSecGeometry, "geometry", 5);
+  const std::vector<double> channel =
+      read_fixed_doubles(doc, kSecChannel, "channel", 5);
+  const std::vector<double> receiver =
+      read_fixed_doubles(doc, kSecReceiver, "receiver", 2);
+  const auto user_x = read_column<double>(doc, kSecUserX, "user_x");
+  const auto user_y = read_column<double>(doc, kSecUserY, "user_y");
+  const auto user_rate = read_column<double>(doc, kSecUserRate, "user_rate");
+  const auto capacity =
+      read_column<std::int32_t>(doc, kSecUavCapacity, "uav_capacity");
+  const auto tx = read_column<double>(doc, kSecUavTx, "uav_tx");
+  const auto gain = read_column<double>(doc, kSecUavGain, "uav_gain");
+  const auto range = read_column<double>(doc, kSecUavRange, "uav_range");
 
   UAVCOV_CHECK_MSG(
       user_x.size() == user_y.size() && user_x.size() == user_rate.size(),
@@ -486,13 +236,11 @@ Scenario load_scenario_binary(std::string_view bytes) {
     result.fleet.push_back({capacity[k], {tx[k], gain[k]}, range[k]});
   }
   result.validate();
-  binary_metrics().loads.inc();
-  binary_metrics().bytes_read.inc(static_cast<std::int64_t>(bytes.size()));
   return result;
 }
 
 Scenario load_scenario_binary(std::istream& in) {
-  return load_scenario_binary(std::string_view(slurp(in)));
+  return load_scenario_binary(std::string_view(codec::slurp(in)));
 }
 
 void save_solution_binary(std::ostream& out, const Solution& solution) {
@@ -518,44 +266,33 @@ void save_solution_binary(std::ostream& out, const Solution& solution) {
     loc[d] = solution.deployments[d].loc.value();
   }
   Section deploy_uav{kSecDeployUav, {}};
-  append_i32s(deploy_uav.bytes, uav.data(), deployment_count);
+  append_column(deploy_uav.bytes, uav.data(), deployment_count);
   sections.push_back(std::move(deploy_uav));
   Section deploy_loc{kSecDeployLoc, {}};
-  append_i32s(deploy_loc.bytes, loc.data(), deployment_count);
+  append_column(deploy_loc.bytes, loc.data(), deployment_count);
   sections.push_back(std::move(deploy_loc));
 
   Section assignment{kSecAssignment, {}};
-  append_i32s(assignment.bytes, solution.user_to_deployment.data(),
+  append_column(assignment.bytes, solution.user_to_deployment.data(),
               solution.user_to_deployment.size());
   sections.push_back(std::move(assignment));
 
-  write_document(out, kBinarySolutionMagic, sections);
+  codec::write_document(out, Kind::kSolution, sections);
 }
 
 Solution load_solution_binary(std::string_view bytes,
                               std::int32_t user_count) {
   UAVCOV_CHECK_MSG(user_count >= 0, "user count must be nonnegative");
-  const obs::ScopedTimer timer(binary_metrics().load_seconds);
-  const std::string what = "solution";
-  const std::vector<SectionView> sections =
-      parse_document(bytes, kBinarySolutionMagic, what);
-  require_known_ids(sections, kSecAssignment, what);
-
-  const SectionView& algorithm =
-      require_section(sections, kSecAlgorithm, what, "algorithm");
-  const SectionView& meta = require_section(sections, kSecMeta, what, "meta");
-  UAVCOV_CHECK_MSG(meta.bytes.size() == 16,
+  const Document doc(bytes, Kind::kSolution, kSecAssignment);
+  const std::string_view algorithm = doc.section(kSecAlgorithm, "algorithm");
+  const std::string_view meta = doc.section(kSecMeta, "meta");
+  UAVCOV_CHECK_MSG(meta.size() == 16,
                    "binary solution section meta: expected 16 bytes, got " +
-                       std::to_string(meta.bytes.size()));
-  const std::vector<std::int32_t> uav = read_i32s(
-      require_section(sections, kSecDeployUav, what, "deploy_uav"), what,
-      "deploy_uav");
-  const std::vector<std::int32_t> loc = read_i32s(
-      require_section(sections, kSecDeployLoc, what, "deploy_loc"), what,
-      "deploy_loc");
-  const std::vector<std::int32_t> assignment = read_i32s(
-      require_section(sections, kSecAssignment, what, "assignment"), what,
-      "assignment");
+                       std::to_string(meta.size()));
+  const auto uav = read_column<std::int32_t>(doc, kSecDeployUav, "deploy_uav");
+  const auto loc = read_column<std::int32_t>(doc, kSecDeployLoc, "deploy_loc");
+  const auto assignment =
+      read_column<std::int32_t>(doc, kSecAssignment, "assignment");
   UAVCOV_CHECK_MSG(uav.size() == loc.size(),
                    "binary solution: deployment column lengths differ");
   UAVCOV_CHECK_MSG(
@@ -565,12 +302,10 @@ Solution load_solution_binary(std::string_view bytes,
           std::to_string(user_count));
 
   Solution solution;
-  solution.algorithm.assign(algorithm.bytes.begin(), algorithm.bytes.end());
-  const std::uint8_t* meta_raw =
-      reinterpret_cast<const std::uint8_t*>(meta.bytes.data());
-  solution.served = static_cast<std::int64_t>(get_u64(meta_raw));
+  solution.algorithm.assign(algorithm.begin(), algorithm.end());
+  solution.served = static_cast<std::int64_t>(get_u64(raw_bytes(meta)));
   UAVCOV_CHECK_MSG(solution.served >= 0, "served must be nonnegative");
-  solution.solve_seconds = std::bit_cast<double>(get_u64(meta_raw + 8));
+  solution.solve_seconds = std::bit_cast<double>(get_u64(raw_bytes(meta) + 8));
 
   const auto deployment_count = static_cast<std::int32_t>(uav.size());
   solution.deployments.reserve(uav.size());
@@ -590,13 +325,11 @@ Solution load_solution_binary(std::string_view bytes,
                          " references nonexistent deployment " +
                          std::to_string(dep));
   }
-  binary_metrics().loads.inc();
-  binary_metrics().bytes_read.inc(static_cast<std::int64_t>(bytes.size()));
   return solution;
 }
 
 Solution load_solution_binary(std::istream& in, std::int32_t user_count) {
-  return load_solution_binary(std::string_view(slurp(in)), user_count);
+  return load_solution_binary(std::string_view(codec::slurp(in)), user_count);
 }
 
 }  // namespace uavcov::io

@@ -1,125 +1,27 @@
 #include "io/serialize.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "io/binary.hpp"
+#include "io/codec.hpp"
 
 namespace uavcov::io {
 
 namespace {
 
-// Files open in binary mode for both formats: the loaders sniff bytes, and
-// on POSIX text output is byte-identical either way (golden fixtures are
-// unchanged).
-void open_checked(std::ifstream& in, const std::string& path) {
-  in.open(path, std::ios::in | std::ios::binary);
-  UAVCOV_CHECK_MSG(in.good(), "cannot open for reading: " + path);
-}
-
-void open_checked(std::ofstream& out, const std::string& path) {
-  out.open(path, std::ios::out | std::ios::binary);
-  UAVCOV_CHECK_MSG(out.good(), "cannot open for writing: " + path);
-}
-
-/// The single read the format-agnostic loaders work from.
-std::string slurp(std::istream& in) {
-  std::string data;
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    data.append(buffer, static_cast<std::size_t>(in.gcount()));
-  }
-  return data;
-}
-
-/// Reads the next non-comment, non-empty line; returns false at EOF.
-bool next_record(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-struct Record {
-  std::string key;
-  std::istringstream args;
-};
-
-Record parse_record(const std::string& line) {
-  Record r;
-  r.args.str(line);
-  r.args >> r.key;
-  return r;
-}
-
-template <typename T>
-T read_arg(Record& r, const char* what) {
-  T value;
-  r.args >> value;
-  UAVCOV_CHECK_MSG(!r.args.fail(),
-                   std::string("malformed ") + what + " in record '" +
-                       r.key + "'");
-  return value;
-}
-
-/// Rejects trailing tokens after a record's declared arguments — the
-/// alternative is silently dropping user data ("user 1 2 3 4" would load
-/// as a 3-field user), which the round-trip fuzzer rightly flags.
-void expect_end(Record& r) {
-  std::string extra;
-  r.args >> extra;
-  UAVCOV_CHECK_MSG(extra.empty(), "trailing data '" + extra +
-                                      "' in record '" + r.key + "'");
-}
-
-/// Names the binary format when its magic reaches the text parser, instead
-/// of quoting a line of raw sections as a "bad header".  The dispatching
-/// loaders normally catch this earlier; this guards direct text parses.
-void reject_binary_input(const std::string& line, const std::string& magic) {
-  UAVCOV_CHECK_MSG(
-      !has_binary_scenario_magic(line),
-      "expected text '" + magic +
-          "' input but detected a binary uavcov scenario (magic " +
-          std::string(kBinaryScenarioMagic) +
-          "); the text parser cannot read it — load through io::load_* to "
-          "auto-detect the format");
-  UAVCOV_CHECK_MSG(
-      !has_binary_solution_magic(line),
-      "expected text '" + magic +
-          "' input but detected a binary uavcov solution (magic " +
-          std::string(kBinarySolutionMagic) +
-          "); the text parser cannot read it — load through io::load_* to "
-          "auto-detect the format");
-}
-
-void expect_magic(std::istream& in, const std::string& magic) {
-  std::string line;
-  UAVCOV_CHECK_MSG(next_record(in, line), "empty input, expected " + magic);
-  reject_binary_input(line, magic);
-  Record r = parse_record(line);
-  const auto version = read_arg<std::string>(r, "version");
-  UAVCOV_CHECK_MSG(r.key == magic && version == "v1",
-                   "bad header: expected '" + magic + " v1', got '" + line +
-                       "'");
-  expect_end(r);
-}
-
-std::ostream& full_precision(std::ostream& out) {
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  return out;
-}
+using codec::expect_end;
+using codec::Kind;
+using codec::next_record;
+using codec::parse_record;
+using codec::read_arg;
+using codec::Record;
 
 void save_scenario_text(std::ostream& out, const Scenario& scenario) {
-  full_precision(out);
-  out << "uavcov-scenario v1\n";
+  codec::write_text_header(out, Kind::kScenario);
   out << "# disaster area: width height cell_side (meters)\n";
   out << "area " << scenario.grid.width() << ' ' << scenario.grid.height()
       << ' ' << scenario.grid.cell_side() << '\n';
@@ -143,21 +45,14 @@ void save_scenario_text(std::ostream& out, const Scenario& scenario) {
 }
 
 Scenario load_scenario_text(std::istream& in) {
-  expect_magic(in, "uavcov-scenario");
-  double width = 0, height = 0, cell = 0;
-  Scenario* scenario = nullptr;
-  // The grid is immutable, so buffer records until `area` arrives (it is
-  // written first, but we stay tolerant of reordering of later keys).
-  std::string line;
-  UAVCOV_CHECK_MSG(next_record(in, line), "missing 'area' record");
-  {
-    Record r = parse_record(line);
-    UAVCOV_CHECK_MSG(r.key == "area", "first record must be 'area'");
-    width = read_arg<double>(r, "width");
-    height = read_arg<double>(r, "height");
-    cell = read_arg<double>(r, "cell side");
-    expect_end(r);
-  }
+  codec::expect_text_header(in, Kind::kScenario);
+  // The grid is immutable, so `area` must come first; later keys may
+  // arrive in any order.
+  Record area = codec::expect_record(in, "area");
+  const auto width = read_arg<double>(area, "width");
+  const auto height = read_arg<double>(area, "height");
+  const auto cell = read_arg<double>(area, "cell side");
+  expect_end(area);
   Scenario result{
       .grid = Grid(width, height, cell),
       .altitude_m = 300.0,
@@ -167,35 +62,35 @@ Scenario load_scenario_text(std::istream& in) {
       .users = {},
       .fleet = {},
   };
-  scenario = &result;
+  std::string line;
   while (next_record(in, line)) {
     Record r = parse_record(line);
     if (r.key == "altitude") {
-      scenario->altitude_m = read_arg<double>(r, "altitude");
+      result.altitude_m = read_arg<double>(r, "altitude");
     } else if (r.key == "uav_range") {
-      scenario->uav_range_m = read_arg<double>(r, "range");
+      result.uav_range_m = read_arg<double>(r, "range");
     } else if (r.key == "channel") {
-      scenario->channel.carrier_hz = read_arg<double>(r, "carrier");
-      scenario->channel.environment.a = read_arg<double>(r, "a");
-      scenario->channel.environment.b = read_arg<double>(r, "b");
-      scenario->channel.environment.eta_los_db = read_arg<double>(r, "eta");
-      scenario->channel.environment.eta_nlos_db = read_arg<double>(r, "eta");
+      result.channel.carrier_hz = read_arg<double>(r, "carrier");
+      result.channel.environment.a = read_arg<double>(r, "a");
+      result.channel.environment.b = read_arg<double>(r, "b");
+      result.channel.environment.eta_los_db = read_arg<double>(r, "eta");
+      result.channel.environment.eta_nlos_db = read_arg<double>(r, "eta");
     } else if (r.key == "receiver") {
-      scenario->receiver.noise_dbm = read_arg<double>(r, "noise");
-      scenario->receiver.bandwidth_hz = read_arg<double>(r, "bandwidth");
+      result.receiver.noise_dbm = read_arg<double>(r, "noise");
+      result.receiver.bandwidth_hz = read_arg<double>(r, "bandwidth");
     } else if (r.key == "user") {
       User u;
       u.pos.x = read_arg<double>(r, "x");
       u.pos.y = read_arg<double>(r, "y");
       u.min_rate_bps = read_arg<double>(r, "rate");
-      scenario->users.push_back(u);
+      result.users.push_back(u);
     } else if (r.key == "uav") {
       UavSpec u;
       u.capacity = read_arg<std::int32_t>(r, "capacity");
       u.radio.tx_power_dbm = read_arg<double>(r, "tx power");
       u.radio.antenna_gain_dbi = read_arg<double>(r, "gain");
       u.user_range_m = read_arg<double>(r, "user range");
-      scenario->fleet.push_back(u);
+      result.fleet.push_back(u);
     } else {
       UAVCOV_CHECK_MSG(false, "unknown scenario record: " + r.key);
     }
@@ -206,8 +101,7 @@ Scenario load_scenario_text(std::istream& in) {
 }
 
 void save_solution_text(std::ostream& out, const Solution& solution) {
-  full_precision(out);
-  out << "uavcov-solution v1\n";
+  codec::write_text_header(out, Kind::kSolution);
   out << "algorithm " << solution.algorithm << '\n';
   out << "served " << solution.served << '\n';
   out << "solve_seconds " << solution.solve_seconds << '\n';
@@ -223,7 +117,7 @@ void save_solution_text(std::ostream& out, const Solution& solution) {
 }
 
 Solution load_solution_text(std::istream& in, std::int32_t user_count) {
-  expect_magic(in, "uavcov-solution");
+  codec::expect_text_header(in, Kind::kSolution);
   Solution solution;
   solution.user_to_deployment.assign(static_cast<std::size_t>(user_count),
                                      -1);
@@ -289,17 +183,15 @@ void save_scenario(std::ostream& out, const Scenario& scenario,
 }
 
 Scenario load_scenario(std::string_view bytes) {
-  if (has_binary_scenario_magic(bytes)) return load_scenario_binary(bytes);
-  UAVCOV_CHECK_MSG(
-      !has_binary_solution_magic(bytes),
-      "load_scenario: input is a binary uavcov solution (magic " +
-          std::string(kBinarySolutionMagic) + "), not a scenario");
+  if (codec::sniff_binary(bytes, Kind::kScenario)) {
+    return load_scenario_binary(bytes);
+  }
   std::istringstream in{std::string(bytes)};
   return load_scenario_text(in);
 }
 
 Scenario load_scenario(std::istream& in) {
-  return load_scenario(std::string_view(slurp(in)));
+  return load_scenario(std::string_view(codec::slurp(in)));
 }
 
 void save_solution(std::ostream& out, const Solution& solution,
@@ -313,45 +205,41 @@ void save_solution(std::ostream& out, const Solution& solution,
 
 Solution load_solution(std::string_view bytes, std::int32_t user_count) {
   UAVCOV_CHECK_MSG(user_count >= 0, "user count must be nonnegative");
-  if (has_binary_solution_magic(bytes)) {
+  if (codec::sniff_binary(bytes, Kind::kSolution)) {
     return load_solution_binary(bytes, user_count);
   }
-  UAVCOV_CHECK_MSG(
-      !has_binary_scenario_magic(bytes),
-      "load_solution: input is a binary uavcov scenario (magic " +
-          std::string(kBinaryScenarioMagic) + "), not a solution");
   std::istringstream in{std::string(bytes)};
   return load_solution_text(in, user_count);
 }
 
 Solution load_solution(std::istream& in, std::int32_t user_count) {
-  return load_solution(std::string_view(slurp(in)), user_count);
+  return load_solution(std::string_view(codec::slurp(in)), user_count);
 }
 
 void save_scenario_file(const std::string& path, const Scenario& scenario,
                         Format format) {
   std::ofstream out;
-  open_checked(out, path);
+  codec::open_checked(out, path);
   save_scenario(out, scenario, format);
 }
 
 Scenario load_scenario_file(const std::string& path) {
   std::ifstream in;
-  open_checked(in, path);
+  codec::open_checked(in, path);
   return load_scenario(in);
 }
 
 void save_solution_file(const std::string& path, const Solution& solution,
                         Format format) {
   std::ofstream out;
-  open_checked(out, path);
+  codec::open_checked(out, path);
   save_solution(out, solution, format);
 }
 
 Solution load_solution_file(const std::string& path,
                             std::int32_t user_count) {
   std::ifstream in;
-  open_checked(in, path);
+  codec::open_checked(in, path);
   return load_solution(in, user_count);
 }
 

@@ -126,7 +126,7 @@ EpochResult StreamEngine::step(const Epoch& epoch) {
   }
 
   if (escalate) {
-    solution_ = solve_snapshot(scenario, policy_.appro);
+    solution_ = appro_alg(scenario, coverage, policy_.appro);
     has_solution_ = true;
     served_at_last_full_ = solution_.served;
     churn_since_full_ = 0;

@@ -96,7 +96,6 @@ void Ingest::rematerialize() {
   for (const Slot& s : slots_) {
     if (s.uid >= 0) materialized_.users.push_back(s.user);
   }
-  flat_.emplace(materialized_);
 }
 
 bool Ingest::is_live(std::int64_t uid) const {

@@ -1,20 +1,16 @@
-// Applies churn epochs to a live Scenario / FlatScenario pair
-// (docs/STREAMING.md).
+// Applies churn epochs to a live Scenario (docs/STREAMING.md).
 //
 // The ingest owns a slot table: each live trace-level uid occupies one
 // slot, arrivals reuse the lowest free slot (stable, deterministic
 // recycling — a recycled slot never aliases a live uid because uids are
 // the identity, slots are just positions), and the dense materialized
-// Scenario lists the live users in slot order.  The FlatScenario view is
-// rebuilt after every epoch so downstream consumers always see a
-// consistent (Scenario, FlatScenario) pair.
+// Scenario lists the live users in slot order.  Consumers build whatever
+// index they need (StreamEngine builds one CoverageModel per epoch).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "core/flat.hpp"
 #include "core/scenario.hpp"
 #include "stream/churn.hpp"
 
@@ -33,20 +29,15 @@ class Ingest {
   /// i, and generated uids continue from base.user_count().
   explicit Ingest(const Scenario& base);
 
-  // The materialized pair holds references into this object.
-  Ingest(const Ingest&) = delete;
-  Ingest& operator=(const Ingest&) = delete;
-
   /// Applies every event of `epoch` in order, then rematerializes the
-  /// Scenario/FlatScenario pair.  Throws ContractError on a liveness
-  /// violation (arrive of a live uid, depart/move of an unknown uid) or a
-  /// malformed arrive; on throw the epoch is discarded wholesale — the
-  /// materialized pair still reflects the last successful epoch.
+  /// Scenario.  Throws ContractError on a liveness violation (arrive of a
+  /// live uid, depart/move of an unknown uid) or a malformed arrive; on
+  /// throw the epoch is discarded wholesale — the materialized Scenario
+  /// still reflects the last successful epoch.
   void apply(const Epoch& epoch);
 
   /// Dense scenario: live users in slot order (holes compacted away).
   const Scenario& scenario() const { return materialized_; }
-  const FlatScenario& flat() const { return *flat_; }
 
   std::int64_t live_users() const { return live_count_; }
   /// Smallest uid no live or past user has used.
@@ -67,7 +58,6 @@ class Ingest {
   void rematerialize();
 
   Scenario materialized_;
-  std::optional<FlatScenario> flat_;
   std::vector<Slot> slots_;
   std::int64_t live_count_ = 0;
   std::int64_t next_uid_ = 0;

@@ -243,6 +243,9 @@ TEST(IoBinary, CrossFormatMagicIsNamedInErrors) {
   solution.user_to_deployment = std::vector<std::int32_t>{-1};
   const std::string solution_bin =
       solution_bytes(solution, io::Format::kBinary);
+  std::ostringstream trace_out;
+  io::save_trace(trace_out, stream::ChurnTrace{}, io::Format::kBinary);
+  const std::string trace_bin = trace_out.str();
 
   // Agnostic loaders: the *other* binary kind is detected and named.
   expect_contract_error(
@@ -251,6 +254,12 @@ TEST(IoBinary, CrossFormatMagicIsNamedInErrors) {
   expect_contract_error(
       [&] { (void)io::load_solution(std::string_view(scenario_bin), 1); },
       "binary uavcov scenario");
+  expect_contract_error(
+      [&] { (void)io::load_scenario(std::string_view(trace_bin)); },
+      "binary uavcov trace");
+  expect_contract_error(
+      [&] { (void)io::load_solution(std::string_view(trace_bin), 1); },
+      "binary uavcov trace");
 
   // Binary loaders called directly on the wrong kind.
   expect_contract_error(
@@ -302,6 +311,15 @@ TEST(IoBinary, TraceSectionErrorsNameByteOffsets) {
   expect_contract_error(
       [&] { (void)io::load_trace(std::string_view(oversized)); },
       "exceeds the file");
+
+  // A valid header (version 1, two sections, size field 30) on a 30-byte
+  // file: the two-entry section table would end at byte 88, past the end.
+  std::string short_table = good.substr(0, 30);
+  short_table[16] = 30;
+  for (std::size_t i = 17; i < 24; ++i) short_table[i] = 0;
+  expect_contract_error(
+      [&] { (void)io::load_trace(std::string_view(short_table)); },
+      "section table ends at byte offset 88");
 }
 
 TEST(IoBinary, FileEntryPointsSniffBothFormats) {

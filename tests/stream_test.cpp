@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/flat.hpp"
+#include "common/fingerprint.hpp"
 #include "io/trace.hpp"
 #include "obs/metrics.hpp"
 #include "stream/churn.hpp"
@@ -218,38 +218,6 @@ std::string scenario_image(const Ingest& ingest) {
   return out.str();
 }
 
-/// Copies every FlatScenario column the solvers read (SoA user columns,
-/// UAV columns, and both CSR directions) into one comparable snapshot.
-struct FlatSnapshot {
-  std::vector<double> user_x, user_y, user_rate;
-  std::vector<std::int32_t> uav_capacity;
-  std::vector<double> uav_range;
-  std::vector<UserId> cell_users;
-  std::vector<LocationId> user_cells;
-  std::int64_t pairs = 0;
-
-  explicit FlatSnapshot(const FlatScenario& flat)
-      : user_x(flat.user_x().begin(), flat.user_x().end()),
-        user_y(flat.user_y().begin(), flat.user_y().end()),
-        user_rate(flat.user_min_rate_bps().begin(),
-                  flat.user_min_rate_bps().end()),
-        uav_capacity(flat.uav_capacity().begin(), flat.uav_capacity().end()),
-        uav_range(flat.uav_user_range_m().begin(),
-                  flat.uav_user_range_m().end()),
-        pairs(flat.candidate_pair_count()) {
-    for (std::int32_t v = 0; v < flat.cell_count(); ++v) {
-      const auto users = flat.users_near(LocationId{v});
-      cell_users.insert(cell_users.end(), users.begin(), users.end());
-    }
-    for (std::int32_t u = 0; u < flat.user_count(); ++u) {
-      const auto cells = flat.cells_near(UserId{u});
-      user_cells.insert(user_cells.end(), cells.begin(), cells.end());
-    }
-  }
-
-  bool operator==(const FlatSnapshot&) const = default;
-};
-
 TEST(StreamIngest, MidEpochFaultLeavesTheMaterializedPairByteIdentical) {
   const Scenario base = stream_scenario(11, /*users=*/10, /*uavs=*/3);
   Ingest ingest(base);
@@ -267,7 +235,6 @@ TEST(StreamIngest, MidEpochFaultLeavesTheMaterializedPairByteIdentical) {
 
   const std::string good_bytes = scenario_image(ingest);
   const std::uint64_t good_fp = ingest.scenario().fingerprint();
-  const FlatSnapshot good_flat(ingest.flat());
   const std::int64_t good_live = ingest.live_users();
   const std::int64_t good_next_uid = ingest.next_uid();
 
@@ -282,12 +249,10 @@ TEST(StreamIngest, MidEpochFaultLeavesTheMaterializedPairByteIdentical) {
   faulted.events.push_back({ChurnKind::kDepart, 4, {}, 0.0});  // never reached
   EXPECT_THROW(ingest.apply(faulted), ContractError);
 
-  // All-or-nothing: the Scenario serializes to the same bytes, the
-  // FlatScenario columns and CSR index are unchanged, and the liveness
-  // bookkeeping still reflects the last good epoch.
+  // All-or-nothing: the Scenario serializes to the same bytes and the
+  // liveness bookkeeping still reflects the last good epoch.
   EXPECT_EQ(scenario_image(ingest), good_bytes);
   EXPECT_EQ(ingest.scenario().fingerprint(), good_fp);
-  EXPECT_TRUE(FlatSnapshot(ingest.flat()) == good_flat);
   EXPECT_EQ(ingest.live_users(), good_live);
   EXPECT_EQ(ingest.next_uid(), good_next_uid);
   EXPECT_TRUE(ingest.is_live(3));   // the staged depart was rolled back
@@ -440,6 +405,32 @@ TEST(StreamTraceIo, MalformedInputThrowsContractError) {
   EXPECT_THROW(io::load_trace("uavcov-trace v2\nepochs 0\n"), ContractError);
   EXPECT_THROW(io::load_trace("UAVCTRC1garbage"), ContractError);
   EXPECT_THROW(io::load_trace("uavcov-trace v1\nepochs 1\n"), ContractError);
+  // Declared counts far beyond the records that follow: nothing may be
+  // sized from them.
+  EXPECT_THROW(io::load_trace("uavcov-trace v1\nepochs 999999999999999\n"),
+               ContractError);
+  EXPECT_THROW(io::load_trace("uavcov-trace v1\nepochs 1\n"
+                              "epoch 0 999999999999999\n"),
+               ContractError);
+  // A binary epoch count of 2^61 with its checksum fixed up: 8 + 8 * 2^61
+  // wraps to the section's real size, so sizes must not be checked by
+  // multiplying the count.
+  {
+    std::ostringstream empty;
+    io::save_trace(empty, ChurnTrace{}, io::Format::kBinary);
+    std::string huge = empty.str();
+    constexpr std::size_t kCounts = 88;  // first payload, after the table.
+    huge[kCounts + 7] = 0x20;            // u64 epoch count = 2^61.
+    Fnv1a sum;
+    for (std::size_t i = kCounts; i < kCounts + 8; ++i) {
+      sum.mix_byte(static_cast<std::uint8_t>(huge[i]));
+    }
+    const std::uint64_t digest = sum.digest();
+    for (std::size_t i = 0; i < 8; ++i) {  // entry 0's checksum field.
+      huge[24 + 24 + i] = static_cast<char>(digest >> (8 * i));
+    }
+    EXPECT_THROW(io::load_trace(huge), ContractError);
+  }
 
   const Scenario base = stream_scenario(14, /*users=*/6, /*uavs=*/2);
   ChurnTraceConfig config = drill_trace_config();

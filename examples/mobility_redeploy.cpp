@@ -1,15 +1,15 @@
 // Re-deployment under user mobility (§II-C): survivors move around the
-// disaster zone; the controller keeps the standing UAV placement while it
-// serves well (cheap assignment refresh) and re-runs approAlg when
-// coverage degrades.  Prints a timeline of served users, re-solve events,
-// and cumulative UAV travel.
+// disaster zone and each control tick feeds their new positions to the
+// StreamEngine as one epoch of moves.  The engine keeps the standing UAV
+// placement while it serves well and re-runs approAlg when coverage
+// degrades.  Prints a timeline of served users and re-solve events.
 //
 //   $ ./build/examples/mobility_redeploy [--hours 2] [--threshold 0.9]
 #include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/redeploy.hpp"
+#include "stream/engine.hpp"
 #include "workload/mobility.hpp"
 #include "workload/scenario_gen.hpp"
 
@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
   config.fleet.uav_count = 10;
   Scenario scenario = workload::make_disaster_scenario(config, rng);
 
-  RedeployPolicy policy;
-  policy.degradation_threshold = cli.get_double("threshold");
+  stream::StreamPolicy policy;
+  policy.served_floor = cli.get_double("threshold");
   policy.appro.s = 2;
   policy.appro.candidate_cap = 30;
-  RedeployController controller(policy);
+  stream::StreamEngine engine(scenario, policy);
 
   workload::MobilityModel mobility(scenario, {}, /*seed=*/rng.next_u64());
 
@@ -43,19 +43,25 @@ int main(int argc, char** argv) {
       cli.get_double("hours") * 3600.0 / step_s);
 
   Table table;
-  table.set_header({"t (min)", "served", "resolved?", "UAV travel (m)"});
-  std::int32_t solves_before = 0;
+  table.set_header({"t (min)", "served", "resolved?"});
   for (std::int32_t tick = 0; tick <= ticks; ++tick) {
-    const Solution& sol = controller.update(scenario);
-    const bool resolved = controller.full_solves() > solves_before;
-    solves_before = controller.full_solves();
+    // Tick 0 solves the initial population; each later tick walks every
+    // user and moves them by uid (the initial uids are the user indices).
+    stream::Epoch epoch;
+    if (tick > 0) {
+      mobility.step(scenario, step_s);
+      for (const UserId u : scenario.users.ids()) {
+        epoch.events.push_back(
+            {stream::ChurnKind::kMove, u.value(), scenario.users[u].pos, 0.0});
+      }
+    }
+    const stream::EpochResult result = engine.step(epoch);
     table.add_row({std::to_string(static_cast<int>(tick * step_s / 60)),
-                   std::to_string(sol.served), resolved ? "yes" : "",
-                   format_double(controller.uav_travel_m(), 0)});
-    if (tick < ticks) mobility.step(scenario, step_s);
+                   std::to_string(result.solution.served),
+                   result.full_solve ? "yes" : ""});
   }
   table.print(std::cout);
-  std::cout << "\nFull approAlg re-solves: " << controller.full_solves()
+  std::cout << "\nFull approAlg re-solves: " << engine.full_solves()
             << ", users walked "
             << format_double(mobility.total_displacement_m() / 1000.0, 1)
             << " km in total\n";

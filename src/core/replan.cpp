@@ -1,6 +1,9 @@
 #include "core/replan.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace uavcov {
 
@@ -73,6 +76,14 @@ KeptComponent best_component(const Scenario& scenario,
     }
   }
   return kept;
+}
+
+void validate_unit_threshold(const char* context, double value) {
+  if (!std::isfinite(value) || value <= 0.0 || value > 1.0) {
+    throw std::invalid_argument(std::string(context) +
+                                " must be in (0, 1] (got " +
+                                std::to_string(value) + ")");
+  }
 }
 
 }  // namespace uavcov

@@ -50,4 +50,9 @@ KeptComponent best_component(const Scenario& scenario,
                              const CoverageModel& coverage,
                              std::span<const Deployment> deployments);
 
+/// The threshold check of the re-plan policies (stream::StreamPolicy,
+/// resilience::RepairPolicy): throws std::invalid_argument naming `context`
+/// unless `value` is a finite fraction in (0, 1].
+void validate_unit_threshold(const char* context, double value);
+
 }  // namespace uavcov

@@ -107,14 +107,6 @@ std::vector<double> read_fixed_doubles(const Document& doc, std::uint32_t id,
 
 }  // namespace
 
-bool has_binary_scenario_magic(std::string_view bytes) {
-  return codec::has_magic(bytes, Kind::kScenario);
-}
-
-bool has_binary_solution_magic(std::string_view bytes) {
-  return codec::has_magic(bytes, Kind::kSolution);
-}
-
 void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
   const std::size_t n = scenario.users.size();
   const std::size_t K = scenario.fleet.size();

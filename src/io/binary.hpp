@@ -47,11 +47,6 @@ inline constexpr std::string_view kBinaryScenarioMagic = "UAVCBIN1";
 inline constexpr std::string_view kBinarySolutionMagic = "UAVCSOL1";
 inline constexpr std::uint32_t kBinaryFormatVersion = 1;
 
-/// True if `bytes` begin with the binary scenario / solution magic —
-/// the sniff the format-agnostic loaders dispatch on.
-bool has_binary_scenario_magic(std::string_view bytes);
-bool has_binary_solution_magic(std::string_view bytes);
-
 void save_scenario_binary(std::ostream& out, const Scenario& scenario);
 
 /// Loads a binary scenario; throws ContractError on anything malformed:

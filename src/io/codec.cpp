@@ -90,10 +90,6 @@ std::string slurp(std::istream& in) {
   return data;
 }
 
-bool has_magic(std::string_view bytes, Kind kind) {
-  return bytes.starts_with(info(kind).magic);
-}
-
 bool sniff_binary(std::string_view bytes, Kind kind) {
   const KindInfo& expected = info(kind);
   for (const KindInfo& other : kKinds) {

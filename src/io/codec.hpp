@@ -32,9 +32,6 @@ std::string slurp(std::istream& in);
 
 enum class Kind { kScenario, kSolution, kTrace };
 
-/// True if `bytes` begin with `kind`'s binary magic.
-bool has_magic(std::string_view bytes, Kind kind);
-
 /// The format sniff of every loader: true if `bytes` are a binary `kind`
 /// document, false if they belong to the text parser.  Throws
 /// ContractError naming the kind when they open with another kind's

@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
 #include "core/assignment.hpp"
-#include "core/redeploy.hpp"
 #include "core/refine.hpp"
 #include "core/relay.hpp"
 #include "core/replan.hpp"

@@ -2,8 +2,8 @@
 //
 // Reacting to every fault with a full Algorithm 2 re-solve would be both
 // slow (seconds at scale) and disruptive (the whole fleet may relocate).
-// This controller mirrors RedeployController's hysteresis: after each
-// fault it first attempts *local repair* —
+// This controller mirrors StreamEngine's hysteresis: after each fault it
+// first attempts *local repair* —
 //
 //   1. drop the failed UAV's deployment;
 //   2. if the survivors' mesh is disconnected, re-stitch it: plan relay
@@ -57,8 +57,8 @@ ApproAlgParams with_remaining_budget(const ApproAlgParams& base,
 struct RepairPolicy {
   /// Escalate to a full re-solve when local repair serves fewer than this
   /// fraction of the served count at the last full solve.  Must be in
-  /// (0, 1] — shared validation with RedeployPolicy
-  /// (validate_unit_threshold, core/redeploy.hpp).
+  /// (0, 1] — shared validation with stream::StreamPolicy
+  /// (validate_unit_threshold, core/replan.hpp).
   double local_repair_floor = 0.7;
   /// Gateway loss always escalates (local stitching cannot restore the
   /// backhaul); set false to measure what local repair alone would do.

@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
 #include "core/assignment.hpp"
-#include "core/redeploy.hpp"
 #include "core/replan.hpp"
 #include "obs/metrics.hpp"
 

@@ -2,7 +2,7 @@
 // (docs/STREAMING.md).
 //
 // Per epoch the engine ingests the event batch and then chooses between
-// two paths, RedeployController-style:
+// two paths, the keep-or-re-solve strategy of §II-C for moving users:
 //
 //   * delta patch — rebuild the live flow network (core/assignment's
 //     incremental add-node/rollback journal), re-deploy the standing
@@ -15,8 +15,9 @@
 // Hysteresis decides the escalation: a patch is kept only while its served
 // count stays at or above `served_floor` x (served at the last full solve)
 // AND the cumulative structural churn (arrivals + departures) since that
-// solve stays below `max_drift_fraction` of the live population.  Both thresholds share
-// validate_unit_threshold with the redeploy/repair controllers.
+// solve stays below `max_drift_fraction` of the live population.  Both
+// thresholds go through core/replan.hpp's validate_unit_threshold.  Epochs
+// of moves alone are the paper's mobility case.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,8 @@ struct StreamPolicy {
   double max_drift_fraction = 0.5;
   ApproAlgParams appro{};
 
-  /// Throws std::invalid_argument on out-of-domain fields; called at every
-  /// StreamEngine construction and step.
+  /// Throws std::invalid_argument on out-of-domain fields; called once, at
+  /// StreamEngine construction (the engine's copy never changes after).
   void validate() const;
 };
 

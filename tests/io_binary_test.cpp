@@ -72,7 +72,7 @@ TEST(IoBinary, PinnedScenariosRoundTripBitExact) {
 
     // binary → load → fingerprint preserved, re-save byte-identical.
     const std::string binary = scenario_bytes(scenario, io::Format::kBinary);
-    ASSERT_TRUE(io::has_binary_scenario_magic(binary));
+    ASSERT_TRUE(binary.starts_with(io::kBinaryScenarioMagic));
     const Scenario from_binary = io::load_scenario(std::string_view(binary));
     EXPECT_EQ(from_binary.fingerprint(), fp) << "seed " << p.seed;
     EXPECT_EQ(scenario_bytes(from_binary, io::Format::kBinary), binary)
@@ -97,7 +97,7 @@ TEST(IoBinary, SolutionRoundTripsInBothFormats) {
   solution.solve_seconds = 0.125;
 
   const std::string binary = solution_bytes(solution, io::Format::kBinary);
-  ASSERT_TRUE(io::has_binary_solution_magic(binary));
+  ASSERT_TRUE(binary.starts_with(io::kBinarySolutionMagic));
   const Solution loaded =
       io::load_solution(std::string_view(binary), /*user_count=*/5);
   EXPECT_EQ(loaded.algorithm, solution.algorithm);

@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/redeploy.hpp"
+#include "core/replan.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/impact.hpp"
@@ -388,23 +388,6 @@ TEST(Repair, PolicyValidationShared) {
   EXPECT_NO_THROW(validate_unit_threshold("x", 1.0));
 }
 
-// ---- RedeployPolicy validation (shared with the repair policy) ----------
-
-TEST(Redeploy, UpdateValidatesPolicyAtEntry) {
-  const Scenario sc = drill_scenario(34, /*users=*/60, /*uavs=*/4);
-  RedeployPolicy bad;
-  bad.degradation_threshold = 0.0;
-  RedeployController at_zero(bad);
-  EXPECT_THROW(at_zero.update(sc), std::invalid_argument);
-  bad.degradation_threshold = 1.0001;
-  RedeployController above_one(bad);
-  EXPECT_THROW(above_one.update(sc), std::invalid_argument);
-  RedeployPolicy good;
-  good.appro.s = 2;
-  RedeployController controller(good);
-  EXPECT_NO_THROW(controller.update(sc));
-}
-
 // ---- Deadline-bounded solving -------------------------------------------
 
 TEST(Deadline, BindingBudgetStillReturnsValidSolution) {
@@ -505,7 +488,7 @@ TEST(Timeline, DrillProducesPhasesAndFiniteServiceStats) {
   EXPECT_GE(report.local_repairs + report.full_solves, 1);
 }
 
-TEST(Metrics, RepairAndRedeployCountersRecorded) {
+TEST(Metrics, RepairCountersRecorded) {
   obs::Registry& registry = obs::Registry::instance();
   registry.reset();
   registry.set_enabled(true);
@@ -519,11 +502,6 @@ TEST(Metrics, RepairAndRedeployCountersRecorded) {
   controller.on_fault({20.0, FaultKind::kLinkDegrade, UavId::invalid(),
                        0.95});
 
-  RedeployPolicy redeploy_policy;
-  redeploy_policy.appro.s = 2;
-  RedeployController redeploy(redeploy_policy);
-  redeploy.update(sc);
-
   registry.set_enabled(false);
   const obs::Snapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value("resilience.faults.crash"), 1);
@@ -534,12 +512,6 @@ TEST(Metrics, RepairAndRedeployCountersRecorded) {
   const obs::SnapshotEntry* latency = snap.find("resilience.repair.seconds");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->hist.count, 2);
-  EXPECT_EQ(snap.counter_value("redeploy.full_solves"), 1);
-  const obs::SnapshotEntry* update_latency =
-      snap.find("redeploy.update_seconds");
-  ASSERT_NE(update_latency, nullptr);
-  EXPECT_EQ(update_latency->hist.count, 1);
-  EXPECT_NE(snap.find("redeploy.travel_m"), nullptr);
 }
 
 }  // namespace

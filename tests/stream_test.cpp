@@ -118,20 +118,30 @@ std::vector<EpochResult> run_checked(const Scenario& base,
 }
 
 // ---------------------------------------------------------------------------
-// Streamed-vs-scratch equivalence over pinned trace seeds.
+// Streamed-vs-scratch equivalence over pinned trace seeds, and mobility.
 
 TEST(StreamEquivalence, SixPinnedSeedsMatchScratchAndHoldHysteresisFloor) {
-  for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const Scenario base = stream_scenario(seed);
-    const ChurnTrace trace =
-        stream::generate_trace(base, drill_trace_config(), seed * 7 + 1);
-    ASSERT_NO_THROW(trace.validate(base.user_count()));
-    const std::vector<EpochResult> results =
-        run_checked(base, trace, drill_policy());
-    ASSERT_EQ(results.size(), trace.epochs.size());
-    // The first epoch always escalates (no standing solution yet).
-    EXPECT_TRUE(results.front().full_solve);
+  // The §II-C mobility case is one more input: moves only, a 10-minute
+  // walk per epoch.
+  ChurnTraceConfig moves_only = drill_trace_config();
+  moves_only.max_arrivals_per_epoch = 0;
+  moves_only.max_departures_per_epoch = 0;
+  moves_only.flash_crowd_epoch = -1;
+  moves_only.drift_dt_s = 600.0;
+  for (const ChurnTraceConfig& config : {drill_trace_config(), moves_only}) {
+    SCOPED_TRACE(config.max_arrivals_per_epoch == 0 ? "moves only" : "churn");
+    for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed));
+      const Scenario base = stream_scenario(seed);
+      const ChurnTrace trace =
+          stream::generate_trace(base, config, seed * 7 + 1);
+      ASSERT_NO_THROW(trace.validate(base.user_count()));
+      const std::vector<EpochResult> results =
+          run_checked(base, trace, drill_policy());
+      ASSERT_EQ(results.size(), trace.epochs.size());
+      // The first epoch always escalates (no standing solution yet).
+      EXPECT_TRUE(results.front().full_solve);
+    }
   }
 }
 
@@ -183,6 +193,46 @@ TEST(StreamEquivalence, TraceGenerationIsDeterministic) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_NE(a.fingerprint(), c.fingerprint());
+}
+
+TEST(StreamMobility, MovesKeepThePlacementUntilAMassShiftEscalates) {
+  // §II-C: users move and nobody arrives or leaves.
+  const Scenario base = stream_scenario(42, /*users=*/80, /*uavs=*/5);
+  StreamPolicy policy = drill_policy();
+  policy.appro.s = 1;
+  StreamEngine engine(base, policy);
+  const auto move_every_user = [&](const auto& to) {
+    Epoch epoch;
+    for (const UserId u : base.users.ids()) {
+      epoch.events.push_back({ChurnKind::kMove, u.value(), to(u), 0.0});
+    }
+    return engine.step(epoch);
+  };
+  const EpochResult first = engine.step(Epoch{});
+  ASSERT_TRUE(first.full_solve);
+  ASSERT_GT(first.solution.served, 0);
+
+  // Every user moves to where they already stand: a patch that changes
+  // nothing.
+  const EpochResult held =
+      move_every_user([&](UserId u) { return base.users[u].pos; });
+  EXPECT_FALSE(held.full_solve);
+  EXPECT_EQ(held.scenario_fingerprint, first.scenario_fingerprint);
+  EXPECT_EQ(held.solution.fingerprint(), first.solution.fingerprint());
+
+  // Every user walks into a 120 m pocket in the far corner: the standing
+  // placement loses them and the engine re-solves.
+  Rng rng(5);
+  const EpochResult moved = move_every_user([&](UserId) {
+    return Vec2{base.grid.width() - rng.uniform(0, 120),
+                base.grid.height() - rng.uniform(0, 120)};
+  });
+  EXPECT_TRUE(moved.full_solve);
+  EXPECT_EQ(moved.arrivals + moved.departures, 0);
+  EXPECT_EQ(engine.full_solves(), 2);
+  const Scenario& scenario = engine.ingest().scenario();
+  const CoverageModel coverage(scenario);
+  EXPECT_NO_THROW(validate_solution(scenario, coverage, moved.solution));
 }
 
 // ---------------------------------------------------------------------------
@@ -453,6 +503,10 @@ TEST(StreamTraceIo, GeneratorRejectsBadConfig) {
   StreamPolicy policy;
   policy.served_floor = 0.0;
   EXPECT_THROW(policy.validate(), std::invalid_argument);
+  const Scenario base = stream_scenario(34, /*users=*/10, /*uavs=*/2);
+  EXPECT_THROW(StreamEngine(base, policy), std::invalid_argument);
+  policy.served_floor = 1.0001;
+  EXPECT_THROW(StreamEngine(base, policy), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

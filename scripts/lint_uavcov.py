@@ -41,7 +41,8 @@ no-unbounded-wait
                  block directly above) naming the bound that guarantees the
                  wait terminates (a deadline, a finite attempt ladder, a
                  shutdown path).  Other directories are out of scope — the
-                 service layer is the one that owns job deadlines.
+                 service layer is the one that fans a mission out to a
+                 thread pool and waits for it.
 
 Suppression: append `// lint:allow <rule> -- <reason>` on the offending
 line, or place it alone on the line directly above.  A reason is mandatory.

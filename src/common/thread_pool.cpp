@@ -67,21 +67,6 @@ void ThreadPool::wait_idle() {
   if (error) std::rethrow_exception(error);
 }
 
-std::size_t ThreadPool::discard_pending() {
-  std::size_t dropped = 0;
-  {
-    const sync::LockGuard lock(mu_);
-    dropped = queue_.size();
-    queue_.clear();
-    // Workers blocked in worker_loop are waiting for tasks, not for the
-    // queue to empty, so only wait_idle() needs a wake-up: with the queue
-    // cleared it may now be satisfied even while tasks are still active.
-    if (active_ == 0) all_idle_.notify_all();
-  }
-  pool_metrics().queue_depth.set(0);
-  return dropped;
-}
-
 std::int32_t ThreadPool::resolve(std::int32_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();

@@ -46,13 +46,6 @@ class ThreadPool {
   /// dropped); the pool stays usable afterwards.
   void wait_idle() UAVCOV_EXCLUDES(mu_);
 
-  /// Cancellation hook (docs/SERVICE.md): drop every queued-but-not-yet-
-  /// started task and return how many were discarded.  Tasks already
-  /// executing run to completion — cancellation is cooperative, callers
-  /// that need mid-task aborts thread a latch through the closures (see
-  /// service::CancelLatch).  The pool stays usable afterwards.
-  std::size_t discard_pending() UAVCOV_EXCLUDES(mu_);
-
   /// Map the ApproAlgParams::threads convention to a worker count:
   /// 0 → hardware concurrency (at least 1), otherwise the request itself.
   /// Negative requests are the caller's validation problem, not ours.

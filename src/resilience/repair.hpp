@@ -44,13 +44,12 @@
 
 namespace uavcov::resilience {
 
-/// Escalation helper shared by RepairController and the mission service's
-/// supervisor (docs/SERVICE.md): a copy of `base` whose time_budget_s is
-/// the budget *remaining* after `elapsed_s` already spent on earlier work
-/// (local repair, failed attempts).  An unbudgeted base (0) passes through
-/// unchanged — bit-identical to the pre-deadline behavior; a bound budget
-/// never drops below a small floor so the solve still evaluates at least
-/// one subset instead of failing validation.
+/// RepairController's escalation helper: a copy of `base` whose
+/// time_budget_s is the budget *remaining* after `elapsed_s` already spent
+/// on local repair.  An unbudgeted base (0) passes through unchanged —
+/// bit-identical to the pre-deadline behavior; a bound budget never drops
+/// below a small floor so the solve still evaluates at least one subset
+/// instead of failing validation.
 ApproAlgParams with_remaining_budget(const ApproAlgParams& base,
                                      double elapsed_s);
 

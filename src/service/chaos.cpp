@@ -10,6 +10,10 @@
 
 namespace uavcov::service {
 
+/// Attempts poisoned by the unrecoverable fault: the whole ladder
+/// (max_attempts + 1 tries) of any policy with max_attempts < 64.
+constexpr std::int32_t kUnrecoverableDepth = 64;
+
 const char* to_string(ShardFaultKind kind) {
   switch (kind) {
     case ShardFaultKind::kSolverException: return "solver_exception";
@@ -69,8 +73,7 @@ ShardFaultPlan make_shard_fault_plan(std::int32_t tile_count,
     throw std::invalid_argument("make_shard_fault_plan: tile_count must be "
                                 ">= 1");
   }
-  if (config.faults < 0 || config.max_poison_depth < 1 ||
-      config.unrecoverable_depth < 1) {
+  if (config.faults < 0 || config.max_poison_depth < 1) {
     throw std::invalid_argument("make_shard_fault_plan: bad config");
   }
   Rng rng(seed);
@@ -88,7 +91,7 @@ ShardFaultPlan make_shard_fault_plan(std::int32_t tile_count,
     f.attempts = static_cast<std::int32_t>(
         rng.uniform_int(1, config.max_poison_depth));
     if (i == 0 && config.include_unrecoverable) {
-      f.attempts = config.unrecoverable_depth;
+      f.attempts = kUnrecoverableDepth;
     }
     plan.faults.push_back(f);
   }

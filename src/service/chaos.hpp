@@ -62,7 +62,6 @@ struct ShardFaultConfig {
   /// When true, one drawn fault (the first) poisons attempts far beyond
   /// any retry + fallback budget, forcing an empty-tile degradation.
   bool include_unrecoverable = false;
-  std::int32_t unrecoverable_depth = 64;
 };
 
 /// Deterministic generator: the same (tile_count, config, seed) triple

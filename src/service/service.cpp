@@ -1,13 +1,15 @@
 #include "service/service.hpp"
 
-#include <exception>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/audit.hpp"
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
+#include "common/thread_pool.hpp"
 #include "core/assignment.hpp"
 #include "core/coverage.hpp"
 #include "core/relay.hpp"
@@ -26,7 +28,6 @@ struct ServiceMetrics {
   obs::Counter tiles = obs::counter("service.tiles");
   obs::Counter degraded_tiles = obs::counter("service.degraded_tiles");
   obs::Histogram job_seconds = obs::histogram("service.job_seconds");
-  obs::Gauge queue_depth = obs::gauge("service.queue_depth");
 };
 
 const ServiceMetrics& service_metrics() {
@@ -71,8 +72,7 @@ std::string DegradationReport::to_string() const {
 }
 
 JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
-                        const ShardFaultPlan* chaos, const CancelLatch* cancel,
-                        double deadline_s) {
+                        const ShardFaultPlan* chaos) {
   config.validate();
   scenario.validate();
   const ServiceMetrics& metrics = service_metrics();
@@ -81,7 +81,6 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
   const Stopwatch watch;
 
   JobResult out;
-  const JobControl control(cancel, deadline_s);
   const TilePlan plan = make_tiling(scenario, config.tiling);
   if (chaos != nullptr) chaos->validate(plan.tile_count());
   metrics.tiles.inc(plan.tile_count());
@@ -96,7 +95,7 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
     for (const Tile& tile : plan.tiles) {
       const Tile* tp = &tile;
       TileSolve* slot = &solves[static_cast<std::size_t>(tile.id.value())];
-      pool.submit([tp, slot, &config, chaos, &control] {
+      pool.submit([tp, slot, &config, chaos] {
         if (tp->user_count() == 0) {
           slot->status = TileStatus::kNoUsers;
           slot->solution.algorithm = "service.empty";
@@ -104,12 +103,12 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
         }
         const CoverageModel coverage(tp->restricted.scenario);
         *slot = solve_tile_supervised(*tp, coverage, config.appro,
-                                      config.supervision, chaos, &control);
+                                      config.supervision, chaos);
       });
     }
     // deadline: each tile task is bounded by the supervisor's attempt
-    // ladder (max_attempts + 1 tries, each under attempt_budget_s /
-    // time_budget_s) plus the job-deadline check before every attempt.
+    // ladder: max_attempts + 1 tries, each approAlg try under
+    // config.appro.time_budget_s.
     pool.wait_idle();
   }
 
@@ -134,8 +133,7 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
                                           tile.uav_count()});
     out.stats.attempts += ts.attempts;
     for (const AttemptRecord& rec : ts.journal) {
-      if (!rec.fallback && rec.outcome != AttemptOutcome::kOk &&
-          rec.outcome != AttemptOutcome::kCancelled) {
+      if (!rec.fallback && rec.outcome != AttemptOutcome::kOk) {
         ++out.stats.retries;
       }
       if (rec.fallback && rec.outcome == AttemptOutcome::kOk) {
@@ -219,8 +217,6 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
 
   const std::int32_t degraded = out.report.degraded_tiles();
   metrics.degraded_tiles.inc(degraded);
-  out.stats.cancelled = control.cancelled();
-  out.stats.deadline_hit = control.deadline_expired();
   out.stats.seconds = watch.elapsed_s();
 
   if (config.audit || analysis::audit_env_enabled()) {
@@ -231,114 +227,6 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
     validate_solution(scenario, coverage, out.solution);
   }
   return out;
-}
-
-JobQueue::JobQueue(std::int32_t workers)
-    : pool_(ThreadPool::resolve(workers)) {}
-
-JobQueue::~JobQueue() = default;
-
-std::int64_t JobQueue::submit(JobSpec spec) {
-  auto entry = std::make_shared<Entry>(std::move(spec));
-  std::int64_t id = 0;
-  {
-    const sync::LockGuard lock(mu_);
-    id = next_id_++;
-    jobs_.emplace(id, entry);
-    ++unfinished_;
-  }
-  service_metrics().queue_depth.add(1);
-  pool_.submit([this, entry] {
-    {
-      const sync::LockGuard lock(mu_);
-      if (entry->finished) return;  // shutdown_now() retired it first
-      entry->started = true;
-    }
-    JobResult result;
-    std::exception_ptr error;
-    try {
-      const JobSpec& job = entry->spec;
-      result = solve_mission(job.scenario, job.config,
-                             job.chaos.has_value() ? &*job.chaos : nullptr,
-                             &entry->latch, job.deadline_s);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const sync::LockGuard lock(mu_);
-      entry->result = std::move(result);
-      entry->error = error;
-      entry->finished = true;
-      --unfinished_;
-    }
-    service_metrics().queue_depth.add(-1);
-    done_.notify_all();
-  });
-  return id;
-}
-
-JobResult JobQueue::wait(std::int64_t job) {
-  std::shared_ptr<Entry> entry;
-  {
-    sync::UniqueLock lock(mu_);
-    const auto it = jobs_.find(job);
-    if (it == jobs_.end()) {
-      throw std::invalid_argument("JobQueue::wait: unknown job id " +
-                                  std::to_string(job) +
-                                  " (never submitted, or already waited on)");
-    }
-    entry = it->second;
-    while (!entry->finished) {
-      // deadline: every job finishes — bounded by its own deadline_s and
-      // the supervisor's finite attempt ladder; shutdown_now() retires
-      // even unstarted entries outright.
-      done_.wait(lock);
-    }
-    jobs_.erase(job);  // wait() transfers ownership; a second wait throws
-  }
-  if (entry->error) std::rethrow_exception(entry->error);
-  return std::move(entry->result);
-}
-
-bool JobQueue::cancel(std::int64_t job) {
-  const sync::LockGuard lock(mu_);
-  const auto it = jobs_.find(job);
-  if (it == jobs_.end() || it->second->finished) return false;
-  it->second->latch.cancel();
-  return true;
-}
-
-void JobQueue::drain() {
-  sync::UniqueLock lock(mu_);
-  while (unfinished_ > 0) {
-    // deadline: bounded by the slowest outstanding job's own deadline_s
-    // and finite attempt ladder; shutdown_now() zeroes the count outright.
-    done_.wait(lock);
-  }
-}
-
-void JobQueue::shutdown_now() {
-  std::int64_t retired = 0;
-  {
-    const sync::LockGuard lock(mu_);
-    for (auto& [id, entry] : jobs_) {
-      if (entry->finished) continue;
-      entry->latch.cancel();
-      if (!entry->started) {
-        // Retire it here; the still-queued closure sees `finished` and
-        // returns without running the mission.
-        entry->finished = true;
-        entry->result.stats.cancelled = true;
-        --unfinished_;
-        ++retired;
-      }
-    }
-  }
-  pool_.discard_pending();
-  if (retired > 0) {
-    service_metrics().queue_depth.add(-retired);
-  }
-  done_.notify_all();
 }
 
 }  // namespace uavcov::service

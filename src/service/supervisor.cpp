@@ -1,6 +1,5 @@
 #include "service/supervisor.hpp"
 
-#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -8,11 +7,15 @@
 
 #include "baselines/greedy_assign.hpp"
 #include "common/check.hpp"
+#include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
 
 namespace uavcov::service {
 
 namespace {
+
+constexpr double kBaseBackoffS = 0.25;  ///< backoff after attempt 1.
+constexpr double kBackoffFactor = 2.0;  ///< exponential growth per retry.
 
 /// Supervisor metrics (docs/OBSERVABILITY.md): attempts counts every
 /// supervised try (fallbacks included), retries counts failed tries that
@@ -48,8 +51,8 @@ void corrupt_solution(Solution& s) { s.served += 1; }
 
 double SupervisorPolicy::backoff_after(std::int32_t attempt) const {
   UAVCOV_DCHECK(attempt >= 1);
-  double backoff = base_backoff_s;
-  for (std::int32_t i = 1; i < attempt; ++i) backoff *= backoff_factor;
+  double backoff = kBaseBackoffS;
+  for (std::int32_t i = 1; i < attempt; ++i) backoff *= kBackoffFactor;
   return backoff;
 }
 
@@ -59,18 +62,6 @@ void SupervisorPolicy::validate() const {
         "SupervisorPolicy: max_attempts must be >= 1 (got " +
         std::to_string(max_attempts) + ")");
   }
-  if (!(base_backoff_s >= 0.0) || !std::isfinite(base_backoff_s)) {
-    throw std::invalid_argument(
-        "SupervisorPolicy: base_backoff_s must be finite and >= 0");
-  }
-  if (!(backoff_factor >= 1.0) || !std::isfinite(backoff_factor)) {
-    throw std::invalid_argument(
-        "SupervisorPolicy: backoff_factor must be finite and >= 1");
-  }
-  if (!(attempt_budget_s >= 0.0) || !std::isfinite(attempt_budget_s)) {
-    throw std::invalid_argument(
-        "SupervisorPolicy: attempt_budget_s must be finite and >= 0");
-  }
 }
 
 const char* to_string(AttemptOutcome outcome) {
@@ -79,7 +70,6 @@ const char* to_string(AttemptOutcome outcome) {
     case AttemptOutcome::kError: return "error";
     case AttemptOutcome::kDeadline: return "deadline";
     case AttemptOutcome::kCorrupt: return "corrupt";
-    case AttemptOutcome::kCancelled: return "cancelled";
   }
   return "unknown";
 }
@@ -99,8 +89,7 @@ TileSolve solve_tile_supervised(const Tile& tile,
                                 const CoverageModel& coverage,
                                 const ApproAlgParams& appro,
                                 const SupervisorPolicy& policy,
-                                const ShardFaultPlan* chaos,
-                                const JobControl* control) {
+                                const ShardFaultPlan* chaos) {
   policy.validate();
   appro.validate();
   TileSolve out;
@@ -139,12 +128,8 @@ TileSolve solve_tile_supervised(const Tile& tile,
                                      baselines::GreedyAssignParams{});
         candidate.algorithm = "service.fallback";
       } else {
-        ApproAlgParams params = appro;
-        if (policy.attempt_budget_s > 0.0) {
-          params.time_budget_s = policy.attempt_budget_s;
-        }
         ApproAlgStats stats;
-        candidate = appro_alg(sub, coverage, params, &stats);
+        candidate = appro_alg(sub, coverage, appro, &stats);
         if (stats.deadline_hit) {
           rec.outcome = AttemptOutcome::kDeadline;
           rec.message = "attempt deadline hit";
@@ -171,7 +156,6 @@ TileSolve solve_tile_supervised(const Tile& tile,
     return candidate;
   };
 
-  std::int32_t failures = 0;
   for (std::int32_t attempt = 1; attempt <= policy.max_attempts + 1;
        ++attempt) {
     const bool fallback = attempt == policy.max_attempts + 1;
@@ -180,32 +164,7 @@ TileSolve solve_tile_supervised(const Tile& tile,
     rec.attempt = attempt;
     rec.fallback = fallback;
     const Stopwatch attempt_watch;
-
-    if (control != nullptr && control->cancelled()) {
-      rec.outcome = AttemptOutcome::kCancelled;
-      rec.message = "job cancelled";
-      rec.seconds = attempt_watch.elapsed_s();
-      out.journal.push_back(std::move(rec));
-      ++out.attempts;
-      metrics.attempts.inc();
-      break;  // degrade to empty below — a cancelled job wants no work
-    }
-    if (!fallback && control != nullptr && control->deadline_expired()) {
-      // A blown job deadline skips the remaining approAlg tries but still
-      // runs the cheap fallback, so the mission degrades instead of
-      // vanishing.
-      rec.outcome = AttemptOutcome::kDeadline;
-      rec.message = "job deadline expired; skipping to fallback";
-      rec.seconds = attempt_watch.elapsed_s();
-      out.journal.push_back(std::move(rec));
-      ++out.attempts;
-      metrics.attempts.inc();
-      ++failures;
-      attempt = policy.max_attempts;  // next iteration is the fallback
-      continue;
-    }
     if (fallback) metrics.fallbacks.inc();
-
     const std::optional<Solution> solved = run_attempt(fallback, attempt, rec);
     rec.seconds = attempt_watch.elapsed_s();
     ++out.attempts;
@@ -214,11 +173,10 @@ TileSolve solve_tile_supervised(const Tile& tile,
       out.journal.push_back(std::move(rec));
       out.solution = *solved;
       out.status = fallback ? TileStatus::kFallback
-                   : failures == 0 ? TileStatus::kSolved
-                                   : TileStatus::kRecovered;
+                   : attempt == 1 ? TileStatus::kSolved
+                                  : TileStatus::kRecovered;
       return out;
     }
-    ++failures;
     if (!fallback) {
       rec.backoff_s = policy.backoff_after(attempt);
       metrics.backoff_seconds.observe_seconds(rec.backoff_s);

@@ -14,12 +14,10 @@
 // distributed front-end would honor the journaled schedule.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/stopwatch.hpp"
 #include "common/typed.hpp"
 #include "core/appro_alg.hpp"
 #include "core/coverage.hpp"
@@ -29,55 +27,11 @@
 
 namespace uavcov::service {
 
-/// One-way cancellation flag shared between a job's owner and its tile
-/// tasks.  Cancellation is cooperative: the supervisor consults the latch
-/// before every attempt.
-class CancelLatch {
- public:
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  // atomic-invariant: one-way monotonic flag (false -> true, never back);
-  // readers only ever skip work after observing true, so relaxed ordering
-  // is safe — no other state is published through this flag.
-  std::atomic<bool> cancelled_{false};
-};
-
-/// Cooperative job-scope abort signal: an optional external CancelLatch
-/// plus an optional wall-clock deadline over the whole job.  Cancellation
-/// empties remaining tiles immediately; a blown deadline still runs the
-/// cheap greedy fallback so the mission degrades instead of vanishing.
-class JobControl {
- public:
-  JobControl(const CancelLatch* cancel, double deadline_s)
-      : cancel_(cancel), deadline_s_(deadline_s) {}
-
-  bool cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
-  bool deadline_expired() const {
-    return deadline_s_ > 0.0 && watch_.elapsed_s() > deadline_s_;
-  }
-  double elapsed_s() const { return watch_.elapsed_s(); }
-
- private:
-  const CancelLatch* cancel_;
-  double deadline_s_;
-  Stopwatch watch_;
-};
-
 struct SupervisorPolicy {
   std::int32_t max_attempts = 3;  ///< approAlg tries before the fallback.
-  double base_backoff_s = 0.25;   ///< backoff after attempt 1.
-  double backoff_factor = 2.0;    ///< exponential growth per retry.
-  /// Per-attempt solve deadline [s]; 0 keeps the appro params' own
-  /// time_budget_s.  A real (non-injected) overrun counts as a failed
-  /// attempt and retries.
-  double attempt_budget_s = 0.0;
 
   /// Deterministic backoff scheduled after failed attempt `attempt` (>= 1):
-  /// base_backoff_s * backoff_factor^(attempt-1).
+  /// 0.25 s * 2^(attempt-1).
   double backoff_after(std::int32_t attempt) const;
 
   /// Throws std::invalid_argument on out-of-domain fields.
@@ -85,11 +39,10 @@ struct SupervisorPolicy {
 };
 
 enum class AttemptOutcome : std::int32_t {
-  kOk = 0,         ///< attempt produced a feasible tile solution.
-  kError = 1,      ///< attempt died with a solver exception.
-  kDeadline = 2,   ///< attempt blew its per-attempt deadline.
-  kCorrupt = 3,    ///< attempt returned an infeasible solution.
-  kCancelled = 4,  ///< job cancelled before the attempt started.
+  kOk = 0,        ///< attempt produced a feasible tile solution.
+  kError = 1,     ///< attempt died with a solver exception.
+  kDeadline = 2,  ///< attempt blew its per-attempt deadline.
+  kCorrupt = 3,   ///< attempt returned an infeasible solution.
 };
 
 const char* to_string(AttemptOutcome outcome);
@@ -125,14 +78,13 @@ struct TileSolve {
 };
 
 /// Runs the retry / fallback / degradation ladder for one tile.
-/// `coverage` must be built over tile.restricted.scenario.  `chaos` and
-/// `control` may be null.  Deterministic for a fixed (tile, params, chaos)
-/// triple as long as no real deadline or cancellation fires.
+/// `coverage` must be built over tile.restricted.scenario.  `chaos` may be
+/// null.  Deterministic for a fixed (tile, params, chaos) triple as long as
+/// no approAlg attempt hits `appro.time_budget_s`.
 TileSolve solve_tile_supervised(const Tile& tile,
                                 const CoverageModel& coverage,
                                 const ApproAlgParams& appro,
                                 const SupervisorPolicy& policy,
-                                const ShardFaultPlan* chaos,
-                                const JobControl* control);
+                                const ShardFaultPlan* chaos);
 
 }  // namespace uavcov::service

@@ -350,6 +350,7 @@ AuditReport audit_solution(const Scenario& scenario,
                              false);
   std::vector<bool> loc_seen(static_cast<std::size_t>(scenario.grid.size()),
                              false);
+  bool ids_in_range = true;
   for (std::size_t i = 0; i < deps.size(); ++i) {
     const Deployment& d = deps[i];
     ++report.checks;
@@ -357,12 +358,14 @@ AuditReport audit_solution(const Scenario& scenario,
       report.add(ViolationCode::kSolutionUnknownUav,
                  "deployment " + std::to_string(i) + " references UAV " +
                      std::to_string(d.uav.value()));
+      ids_in_range = false;
       continue;
     }
     if (!d.loc.valid() || d.loc.value() >= scenario.grid.size()) {
       report.add(ViolationCode::kSolutionUnknownLocation,
                  "deployment " + std::to_string(i) + " references cell " +
                      std::to_string(d.loc.value()));
+      ids_in_range = false;
       continue;
     }
     if (uav_seen[d.uav.index()]) {
@@ -378,11 +381,15 @@ AuditReport audit_solution(const Scenario& scenario,
     loc_seen[d.loc.index()] = true;
   }
 
-  ++report.checks;
-  if (!deployments_connected(scenario, deps)) {
-    report.add(ViolationCode::kSolutionDisconnected,
-               "UAV network not connected under R_uav = " +
-                   std::to_string(scenario.uav_range_m));
+  // Connectivity needs every cell center, so it is undefined once an id
+  // is out of range (already reported above).
+  if (ids_in_range) {
+    ++report.checks;
+    if (!deployments_connected(scenario, deps)) {
+      report.add(ViolationCode::kSolutionDisconnected,
+                 "UAV network not connected under R_uav = " +
+                     std::to_string(scenario.uav_range_m));
+    }
   }
 
   // Per-user assignment: eligibility (range + rate) and load accounting.

@@ -1,4 +1,4 @@
-// Strongly-typed index and quantity layer (docs/STATIC_ANALYSIS.md).
+// Strongly-typed index layer (docs/STATIC_ANALYSIS.md).
 //
 // Four distinct index spaces flow through the solver — users, grid cells,
 // UAVs, and Euler-subpath segments — and nearly every container access is
@@ -6,32 +6,26 @@
 // compiles silently and surfaces only as a wrong answer (or an
 // out-of-bounds read) at scale.  StrongId<Tag> makes each space its own
 // type: explicit construction, no cross-type comparison or arithmetic, no
-// implicit conversion to or from integers, hashable, and provably zero
-// cost (trivially copyable, sizeof == sizeof(uint32_t), so it is passed
-// in registers exactly like the int32 it replaces).
+// implicit conversion to or from integers, and provably zero cost
+// (trivially copyable, sizeof == sizeof(uint32_t), so it is passed in
+// registers exactly like the int32 it replaces).
 //
 // IdVector<Tag, T> is a std::vector<T> whose operator[] accepts only the
 // matching id type — bounds-checked under UAVCOV_DCHECK, unchecked in
 // release builds.  raw() exposes the underlying vector for serialization
 // and for algorithms that are deliberately generic over index spaces.
-//
-// Quantity<Tag> wraps doubles that cross module boundaries (Meters, Dbm,
-// Seconds) so a power level cannot be passed where a distance is
-// expected; conversions layer on the helpers in common/units.hpp.
 #pragma once
 
 #include <compare>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/units.hpp"
 
 namespace uavcov {
 
@@ -257,72 +251,4 @@ class IdVector {
   std::vector<T> values_;
 };
 
-/// Strongly-typed physical quantity (a tagged double).  Same-type
-/// arithmetic and ordering only; scaling by a dimensionless factor and
-/// the ratio of two like quantities are allowed.  Construction from a
-/// raw double is explicit, so `height_m(Meters{300.0})` documents its
-/// unit at every call site.
-template <class Tag>
-class Quantity {
- public:
-  constexpr Quantity() = default;
-  constexpr explicit Quantity(double value) : value_(value) {}
-
-  constexpr double value() const { return value_; }
-
-  constexpr auto operator<=>(const Quantity&) const = default;
-
-  friend constexpr Quantity operator+(Quantity a, Quantity b) {
-    return Quantity{a.value_ + b.value_};
-  }
-  friend constexpr Quantity operator-(Quantity a, Quantity b) {
-    return Quantity{a.value_ - b.value_};
-  }
-  constexpr Quantity operator-() const { return Quantity{-value_}; }
-  friend constexpr Quantity operator*(Quantity a, double s) {
-    return Quantity{a.value_ * s};
-  }
-  friend constexpr Quantity operator*(double s, Quantity a) {
-    return Quantity{s * a.value_};
-  }
-  friend constexpr Quantity operator/(Quantity a, double s) {
-    return Quantity{a.value_ / s};
-  }
-  /// Ratio of like quantities is dimensionless.
-  friend constexpr double operator/(Quantity a, Quantity b) {
-    return a.value_ / b.value_;
-  }
-
- private:
-  double value_ = 0.0;
-};
-
-struct MetersTag {};
-struct DbmTag {};
-struct SecondsTag {};
-
-using Meters = Quantity<MetersTag>;   ///< distance / length.
-using Dbm = Quantity<DbmTag>;         ///< absolute power, dB-milliwatts.
-using Seconds = Quantity<SecondsTag>; ///< wall-clock / simulated time.
-
-static_assert(std::is_trivially_copyable_v<Meters> &&
-              sizeof(Meters) == sizeof(double));
-
-// Typed shims over the unit conversions in common/units.hpp.  Note that
-// dBm is logarithmic: Dbm + Dbm via Quantity's operator+ is the *product*
-// of the underlying powers — convert through milliwatts to sum power.
-inline double to_milliwatts(Dbm p) { return dbm_to_mw(p.value()); }
-inline Dbm dbm_from_milliwatts(double mw) { return Dbm{mw_to_dbm(mw)}; }
-constexpr Meters meters(double v) { return Meters{v}; }
-constexpr Seconds seconds(double v) { return Seconds{v}; }
-
 }  // namespace uavcov
-
-/// Ids are hashable so typed keys drop into std::unordered_* and custom
-/// hash-based containers without boilerplate.
-template <class Tag>
-struct std::hash<uavcov::StrongId<Tag>> {
-  std::size_t operator()(uavcov::StrongId<Tag> id) const noexcept {
-    return std::hash<std::int32_t>{}(id.value());
-  }
-};

@@ -94,32 +94,48 @@ void audit_greedy_round(const IncrementalAssignment& ia,
 
 /// Greedy submodular maximization under M1 ∩ M2 for one seed subset.
 /// Returns the chosen locations in deployment order (UAVs are taken from
-/// `uav_order` front to back, i.e. capacity descending).
+/// `uav_order` front to back).  The lazy and plain modes pick the same
+/// locations for every fleet.
 std::vector<LocationId> greedy_place(
-    IncrementalAssignment& ia, const CoverageModel& coverage,
-    const std::vector<LocationId>& pool, HopBudgetMatroid& m2,
-    const std::vector<UavId>& uav_order, std::int32_t l_max, bool lazy,
-    bool audit, std::int64_t* probes, DeadlineMonitor* deadline) {
+    IncrementalAssignment& ia, const Scenario& scenario,
+    const CoverageModel& coverage, const std::vector<LocationId>& pool,
+    HopBudgetMatroid& m2, const std::vector<UavId>& uav_order,
+    std::int32_t l_max, bool lazy, bool audit, std::int64_t* probes,
+    DeadlineMonitor* deadline) {
   std::vector<LocationId> chosen;
   chosen.reserve(static_cast<std::size_t>(l_max));
   std::vector<bool> taken;  // indexed by position in `pool`
 
   if (lazy) {
-    // Max-heap of (stale upper bound, pool index).  Stale bounds remain
-    // valid across iterations: gains shrink as the set grows (submodular)
-    // and as capacities shrink (UAVs are deployed largest-first).
+    // Max-heap of (stale upper bound, pool index).  A probed gain bounds
+    // later gains only for a UAV of the same radio class and no larger
+    // capacity: gains shrink as the set grows (submodular) and as the
+    // capacity shrinks.  Before any other UAV the heap is refilled with
+    // max_coverage, which bounds every UAV's gain at that cell.
     std::priority_queue<std::pair<std::int64_t, std::int32_t>> heap;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      heap.emplace(coverage.max_coverage(pool[i]),
-                   static_cast<std::int32_t>(i));
-    }
     taken.assign(pool.size(), false);
+    const auto refill = [&] {
+      heap = {};
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        if (taken[i]) continue;
+        heap.emplace(coverage.max_coverage(pool[i]),
+                     static_cast<std::int32_t>(i));
+      }
+    };
+    refill();
     for (std::int32_t k = 0; k < l_max && !heap.empty(); ++k) {
       // Cooperative deadline: a truncated greedy prefix is still a valid
       // (independent, feasible) placement, so stopping here is safe.  The
       // first round always runs, so every evaluated subset places a UAV.
       if (k > 0 && deadline != nullptr && deadline->expired()) break;
       const UavId uav = uav_order[static_cast<std::size_t>(k)];
+      if (k > 0) {
+        const UavId prev = uav_order[static_cast<std::size_t>(k - 1)];
+        if (coverage.radio_class_of(uav) != coverage.radio_class_of(prev) ||
+            scenario.fleet[uav].capacity > scenario.fleet[prev].capacity) {
+          refill();
+        }
+      }
       LocationId pick = kInvalidLocation;
       std::int32_t pick_idx = -1;
       std::int64_t pick_gain = -1;
@@ -254,9 +270,9 @@ void evaluate_subset(const SearchContext& ctx, WorkerState& w,
   {
     const obs::ScopedTimer timer(appro_metrics().greedy_seconds);
     chosen =
-        greedy_place(w.ia, ctx.coverage, ctx.candidates, m2, ctx.uav_order,
-                     ctx.plan.L_max, ctx.params.lazy_greedy, ctx.audit,
-                     &w.probes, ctx.deadline);
+        greedy_place(w.ia, ctx.scenario, ctx.coverage, ctx.candidates, m2,
+                     ctx.uav_order, ctx.plan.L_max, ctx.params.lazy_greedy,
+                     ctx.audit, &w.probes, ctx.deadline);
   }
   const auto relay = [&] {
     const obs::ScopedTimer timer(appro_metrics().stitch_seconds);

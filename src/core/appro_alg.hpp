@@ -21,7 +21,8 @@
 //                        (lossless for the approximation guarantee: the
 //                        seeds used by the analysis lie on one Euler
 //                        subpath with at most L_max nodes);
-//   * lazy_greedy      — lazy vs plain greedy evaluation (same output).
+//   * lazy_greedy      — lazy vs plain greedy evaluation (same output for
+//                        every fleet, any UAV order or radio-class mix).
 #pragma once
 
 #include "core/appro_alg_stats.hpp"

@@ -58,8 +58,7 @@ AssignmentResult solve_assignment(const Scenario& scenario,
       const auto e = flow.add_edge(user_node[u], uav_node, 1);
       edges_by_user[u].emplace_back(e, static_cast<std::int32_t>(d));
     }
-    flow.add_edge(uav_node, sink,
-                  coverage.flat().uav_capacity()[dep.uav.index()]);
+    flow.add_edge(uav_node, sink, scenario.fleet[dep.uav].capacity);
   }
 
   AssignmentResult result;
@@ -98,7 +97,7 @@ std::int64_t IncrementalAssignment::add_uav_and_augment(UavId k,
   for (const UserId u : coverage_.eligible_users(loc, cls)) {
     flow_.add_edge(user_node_[u], uav_node, 1);
   }
-  flow_.add_edge(uav_node, sink_, coverage_.flat().uav_capacity()[k.index()]);
+  flow_.add_edge(uav_node, sink_, scenario_.fleet[k].capacity);
   return flow_.augment(source_, sink_);
 }
 

@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "core/flat.hpp"
 
 namespace uavcov {
 
 CoverageModel::CoverageModel(const Scenario& scenario)
-    : scenario_(scenario), flat_(scenario) {
-  // The FlatScenario constructor validated the instance and built the CSR
+    : scenario_(scenario) {
+  // The FlatScenario constructor validates the instance and builds the CSR
   // candidate index: per-cell user lists restricted to each user's
   // *largest* per-class effective radius, with squared center distances
   // stored alongside.  Per-(location, class) eligibility is the subset
@@ -17,7 +18,14 @@ CoverageModel::CoverageModel(const Scenario& scenario)
   // within each cell and the per-class radius is never larger than the
   // candidate radius, so the filtered lists reproduce the old
   // per-(user, class) centers_within memberships and ordering bit for bit.
-  const std::int32_t classes = flat_.radio_class_count();
+  // The index is a temporary: only the filtered lists outlive it.
+  const FlatScenario flat(scenario);
+  const std::int32_t classes = flat.radio_class_count();
+  class_count_ = classes;
+  uav_class_.reserve(scenario.fleet.size());
+  for (const UavId k : scenario.uav_ids()) {
+    uav_class_.push_back(flat.radio_class_of(k));
+  }
   const std::size_t slots =
       static_cast<std::size_t>(scenario.grid.size()) *
       static_cast<std::size_t>(classes);
@@ -25,23 +33,23 @@ CoverageModel::CoverageModel(const Scenario& scenario)
   eligible_.resize(slots);
   std::int64_t total = 0;
   for (const LocationId v : scenario.grid.cells()) {
-    const std::span<const UserId> users = flat_.users_near(v);
-    const std::span<const double> dist2 = flat_.dist2_near(v);
+    const std::span<const UserId> users = flat.users_near(v);
+    const std::span<const double> dist2 = flat.dist2_near(v);
     for (std::int32_t c = 0; c < classes; ++c) {
       for (std::size_t i = 0; i < users.size(); ++i) {
-        if (dist2[i] <= flat_.effective_radius2(users[i], c)) ++total;
+        if (dist2[i] <= flat.effective_radius2(users[i], c)) ++total;
       }
     }
   }
   users_flat_.reserve(static_cast<std::size_t>(total));
   for (const LocationId v : scenario.grid.cells()) {
-    const std::span<const UserId> users = flat_.users_near(v);
-    const std::span<const double> dist2 = flat_.dist2_near(v);
+    const std::span<const UserId> users = flat.users_near(v);
+    const std::span<const double> dist2 = flat.dist2_near(v);
     for (std::int32_t c = 0; c < classes; ++c) {
       const std::int64_t begin =
           static_cast<std::int64_t>(users_flat_.size());
       for (std::size_t i = 0; i < users.size(); ++i) {
-        if (dist2[i] <= flat_.effective_radius2(users[i], c)) {
+        if (dist2[i] <= flat.effective_radius2(users[i], c)) {
           users_flat_.push_back(users[i]);
         }
       }

@@ -5,14 +5,15 @@
 //   distance(u_i, center(v_j)) <= R_user^k   AND   r_ij >= r_i^min.
 // Both depend on the UAV only through its radio parameters and R_user, so
 // UAVs are grouped into *radio classes*; eligibility lists are computed
-// once per (location, class) and shared by all same-class UAVs.
+// once per (location, class) and shared by all same-class UAVs.  The
+// constructor derives them from a temporary FlatScenario (core/flat.hpp)
+// and keeps only the lists, the per-cell maximum and the UAV → class map.
 #pragma once
 
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "core/flat.hpp"
 #include "core/scenario.hpp"
 
 namespace uavcov {
@@ -21,20 +22,11 @@ class CoverageModel {
  public:
   explicit CoverageModel(const Scenario& scenario);
 
-  /// The flat SoA/CSR view the eligibility lists are derived from —
-  /// shared with assignment and the baselines so the geometric pass runs
-  /// once per scenario.
-  const FlatScenario& flat() const { return flat_; }
-
   /// Number of distinct radio classes in the fleet (often 1 or 2).
-  std::int32_t radio_class_count() const {
-    return flat_.radio_class_count();
-  }
+  std::int32_t radio_class_count() const { return class_count_; }
 
   /// Radio class of UAV k.
-  std::int32_t radio_class_of(UavId k) const {
-    return flat_.radio_class_of(k);
-  }
+  std::int32_t radio_class_of(UavId k) const { return uav_class_[k]; }
 
   /// Users eligible to be served by a class-`c` UAV at location `v`
   /// (sorted by UserId ascending).
@@ -55,7 +47,8 @@ class CoverageModel {
 
  private:
   const Scenario& scenario_;
-  FlatScenario flat_;
+  std::int32_t class_count_ = 0;
+  IdVector<UavTag, std::int32_t> uav_class_;
 
   // eligible_[v * classes + c] → flat slice [begin, end) into users_flat_.
   std::vector<std::pair<std::int64_t, std::int64_t>> eligible_;

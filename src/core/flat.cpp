@@ -24,27 +24,14 @@ struct RadioKey {
 FlatScenario::FlatScenario(const Scenario& scenario) : scenario_(scenario) {
   scenario.validate();
   const Grid& grid = scenario.grid;
-  const std::size_t n = scenario.users.size();
+  const std::vector<User>& users = scenario.users.raw();
+  const std::size_t n = users.size();
   const std::size_t m = static_cast<std::size_t>(grid.size());
 
-  // 1. SoA columns.
-  user_x_.reserve(n);
-  user_y_.reserve(n);
-  user_min_rate_.reserve(n);
-  for (const User& u : scenario.users) {
-    user_x_.push_back(u.pos.x);
-    user_y_.push_back(u.pos.y);
-    user_min_rate_.push_back(u.min_rate_bps);
-  }
-  uav_capacity_.reserve(scenario.fleet.size());
-  uav_range_.reserve(scenario.fleet.size());
-
-  // 2. Group the fleet into radio classes.
+  // 1. Group the fleet into radio classes.
   std::map<RadioKey, std::int32_t> class_of;
   uav_class_.reserve(scenario.fleet.size());
   for (const UavSpec& u : scenario.fleet) {
-    uav_capacity_.push_back(u.capacity);
-    uav_range_.push_back(u.user_range_m);
     const RadioKey key{u.radio.tx_power_dbm, u.radio.antenna_gain_dbi,
                        u.user_range_m};
     auto [it, inserted] =
@@ -53,7 +40,7 @@ FlatScenario::FlatScenario(const Scenario& scenario) : scenario_(scenario) {
     uav_class_.push_back(it->second);
   }
 
-  // 3. Effective service radius per (class, distinct r_min): the rate is
+  // 2. Effective service radius per (class, distinct r_min): the rate is
   //    monotone decreasing in horizontal distance, so eligibility is a
   //    disc of radius min(R_user, radius where rate == r_min).
   const std::int32_t classes = radio_class_count();
@@ -75,25 +62,24 @@ FlatScenario::FlatScenario(const Scenario& scenario) : scenario_(scenario) {
   // filter (negative sentinel: class cannot serve) and the per-user
   // candidate radius (max over classes) that sizes the CSR cell scan.
   user_class_radius2_.resize(n * static_cast<std::size_t>(classes));
-  user_max_radius_.resize(n, 0.0);
+  std::vector<double> user_max_radius(n, 0.0);
   for (std::size_t u = 0; u < n; ++u) {
     double max_radius = 0.0;
     for (std::int32_t c = 0; c < classes; ++c) {
-      const double radius = effective_radius(c, user_min_rate_[u]);
+      const double radius = effective_radius(c, users[u].min_rate_bps);
       user_class_radius2_[u * static_cast<std::size_t>(classes) +
                           static_cast<std::size_t>(c)] =
           radius > 0 ? radius * radius : -1.0;
       max_radius = std::max(max_radius, radius);
     }
-    user_max_radius_[u] = max_radius;
+    user_max_radius[u] = max_radius;
   }
-  radii_.assign(radius_cache.begin(), radius_cache.end());
 
-  // 4. CSR candidate index, both directions, by counting passes.  The cell
-  //    scan replicates Grid::centers_within exactly: same bbox index
-  //    formulas, same inclusive `distance2(center, p) <= r²` compare — so
-  //    downstream per-class filters reproduce the old per-(user, class)
-  //    centers_within memberships bit for bit.
+  // 3. Per-cell CSR candidate index by counting passes.  The cell scan
+  //    replicates Grid::centers_within exactly: same bbox index formulas,
+  //    same inclusive `distance2(center, p) <= r²` compare — so downstream
+  //    per-class filters reproduce the per-(user, class) centers_within
+  //    memberships bit for bit.
   const double side = grid.cell_side();
   const std::int32_t cols = grid.cols();
   const std::int32_t rows = grid.rows();
@@ -106,12 +92,10 @@ FlatScenario::FlatScenario(const Scenario& scenario) : scenario_(scenario) {
         count - 1, static_cast<std::int32_t>(std::floor(v / side - 0.5)));
   };
 
-  std::vector<std::int64_t> cell_counts(m, 0);
-  user_offsets_.assign(n + 1, 0);
   const auto scan_user = [&](std::size_t u, auto&& visit) {
-    const double radius = user_max_radius_[u];
+    const double radius = user_max_radius[u];
     if (radius <= 0) return;
-    const Vec2 p{user_x_[u], user_y_[u]};
+    const Vec2 p = users[u].pos;
     const std::int32_t col_lo = lo_index(p.x - radius);
     const std::int32_t col_hi = hi_index(p.x + radius, cols);
     const std::int32_t row_lo = lo_index(p.y - radius);
@@ -125,60 +109,30 @@ FlatScenario::FlatScenario(const Scenario& scenario) : scenario_(scenario) {
       }
     }
   };
+  std::vector<std::int64_t> cell_counts(m, 0);
   for (std::size_t u = 0; u < n; ++u) {
-    scan_user(u, [&](LocationId id, double) {
-      ++cell_counts[id.index()];
-      ++user_offsets_[u + 1];
-    });
+    scan_user(u, [&](LocationId id, double) { ++cell_counts[id.index()]; });
   }
 
   cell_offsets_.assign(m + 1, 0);
   for (std::size_t v = 0; v < m; ++v) {
     cell_offsets_[v + 1] = cell_offsets_[v] + cell_counts[v];
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    user_offsets_[u + 1] += user_offsets_[u];
-  }
   const auto total = static_cast<std::size_t>(cell_offsets_[m]);
   cell_users_.resize(total, UserId::invalid());
   cell_dist2_.resize(total, 0.0);
-  user_cells_.resize(total, kInvalidLocation);
 
-  // Fill pass: users ascending, cells row-major per user — so each cell's
-  // user list is ascending by UserId and each user's cell list ascending
-  // by LocationId, matching the old bucket ordering.
+  // Fill pass: users ascending, so each cell's user list is ascending by
+  // UserId.
   std::vector<std::int64_t> cell_cursor(cell_offsets_.begin(),
                                         cell_offsets_.end() - 1);
-  std::int64_t user_cursor = 0;
   for (std::size_t u = 0; u < n; ++u) {
     scan_user(u, [&](LocationId id, double d2) {
       const std::int64_t at = cell_cursor[id.index()]++;
       cell_users_[static_cast<std::size_t>(at)] = UserId{u};
       cell_dist2_[static_cast<std::size_t>(at)] = d2;
-      user_cells_[static_cast<std::size_t>(user_cursor++)] = id;
     });
   }
-  UAVCOV_CHECK(user_cursor == static_cast<std::int64_t>(total));
-}
-
-double FlatScenario::effective_radius_m(std::int32_t c,
-                                        double min_rate_bps) const {
-  UAVCOV_CHECK_MSG(c >= 0 && c < radio_class_count(),
-                   "radio class out of range");
-  const std::pair<std::int32_t, double> key{c, min_rate_bps};
-  const auto it = std::lower_bound(
-      radii_.begin(), radii_.end(), key,
-      [](const auto& entry, const auto& k) { return entry.first < k; });
-  UAVCOV_CHECK_MSG(it != radii_.end() && it->first == key,
-                   "effective radius queried for an unseen (class, r_min)");
-  return it->second;
-}
-
-void FlatScenario::rates_near(LocationId v, std::int32_t c,
-                              std::vector<double>& out) const {
-  const std::span<const double> d2 = dist2_near(v);
-  out.resize(d2.size());
-  class_evaluator(c).rates_from_dist2(d2, out);
 }
 
 }  // namespace uavcov

@@ -1,28 +1,25 @@
-// Flat (SoA + CSR) view of one Scenario — the million-user hot path.
+// Flat (CSR) candidate index of one Scenario — the million-user hot path.
 //
 // Scenario stores users and UAVs as structs-in-vectors, which is the right
 // shape for construction and serialization but the wrong one for the
-// solver's inner loops at 10^6+ users: eligibility precomputation walks
-// position/min-rate columns, and the per-user `centers_within` call in the
-// old CoverageModel allocated a fresh vector per (user, radio class).
+// eligibility precomputation at 10^6+ users: a per-user `centers_within`
+// call would allocate a fresh vector per (user, radio class).
 //
-// FlatScenario is built once per scenario and owns:
-//   * SoA columns: user x / y / min-rate, UAV capacity / range / radio;
-//   * the fleet's radio classes and the effective service radius per
-//     (class, distinct r_min) — min(R_user, radius where rate == r_min),
-//     exactly the cache CoverageModel used to compute internally;
-//   * a CSR candidate index in both directions: per-cell candidate user
-//     lists (with their squared center distances) and per-user candidate
-//     cell lists, as offset arrays + flat typed-id arrays.  "Candidate"
-//     means within the user's largest per-class effective radius; the
-//     per-class eligibility filter (dist² ≤ r_c²) is a cheap compare over
-//     the stored distances, so CoverageModel, assignment, and the
-//     baselines all reuse one geometric pass.
+// FlatScenario is a build-time index: CoverageModel constructs one as a
+// temporary and keeps only the eligibility lists it derives.  It owns:
+//   * the fleet's radio classes, and per (user, class) the squared
+//     effective service radius — min(R_user, radius where rate == r_min);
+//   * a CSR index of per-cell candidate user lists with their squared
+//     center distances, as offset arrays + flat typed-id arrays.
+//     "Candidate" means within the user's largest per-class effective
+//     radius; the per-class eligibility filter (dist² ≤ r_c²) is a cheap
+//     compare over the stored distances.
 //
 // The cell scan replicates Grid::centers_within bit for bit (same bbox
 // index formulas, same inclusive `distance2(center, p) <= r²` compare), so
-// rebuilding CoverageModel on top of this index leaves every golden
-// fingerprint unchanged — coverage_test cross-checks the two paths.
+// the eligibility lists derived from it equal per-(user, class)
+// centers_within memberships — flat_test cross-checks the index against
+// brute force.
 #pragma once
 
 #include <cstdint>
@@ -36,27 +33,12 @@ namespace uavcov {
 
 class FlatScenario {
  public:
-  /// Validates the scenario, then builds the SoA columns, radio classes,
-  /// effective radii, and both CSR directions in two counting passes (no
+  /// Validates the scenario, then builds the radio classes, the per-user
+  /// effective radii and the per-cell CSR index in two counting passes (no
   /// per-user allocation).
   explicit FlatScenario(const Scenario& scenario);
 
-  const Scenario& scenario() const { return scenario_; }
-
-  std::int32_t user_count() const {
-    return static_cast<std::int32_t>(user_x_.size());
-  }
-  std::int32_t uav_count() const {
-    return static_cast<std::int32_t>(uav_capacity_.size());
-  }
   std::int32_t cell_count() const { return scenario_.grid.size(); }
-
-  // --- SoA columns -------------------------------------------------------
-  std::span<const double> user_x() const { return user_x_; }
-  std::span<const double> user_y() const { return user_y_; }
-  std::span<const double> user_min_rate_bps() const { return user_min_rate_; }
-  std::span<const std::int32_t> uav_capacity() const { return uav_capacity_; }
-  std::span<const double> uav_user_range_m() const { return uav_range_; }
 
   // --- radio classes -----------------------------------------------------
   std::int32_t radio_class_count() const {
@@ -66,14 +48,6 @@ class FlatScenario {
   const Radio& class_radio(std::int32_t c) const {
     return classes_[static_cast<std::size_t>(c)].radio;
   }
-  double class_user_range_m(std::int32_t c) const {
-    return classes_[static_cast<std::size_t>(c)].user_range_m;
-  }
-
-  /// Effective service radius of a class-`c` UAV for requirement
-  /// `min_rate_bps`: min(R_user^c, radius where rate == r_min), ≤ 0 when
-  /// the class cannot serve that requirement at any distance.
-  double effective_radius_m(std::int32_t c, double min_rate_bps) const;
 
   /// Squared effective radius for (user, class) — the precomputed form the
   /// eligibility filter compares stored squared distances against.
@@ -109,22 +83,6 @@ class FlatScenario {
             static_cast<std::size_t>(cell_offsets_[v.index() + 1] -
                                      cell_offsets_[v.index()])};
   }
-  /// Candidate cells of user `u` (ascending LocationId) — the transpose.
-  std::span<const LocationId> cells_near(UserId u) const {
-    UAVCOV_DCHECK(u.valid() && u.value() < user_count());
-    return {user_cells_.data() + user_offsets_[u.index()],
-            static_cast<std::size_t>(user_offsets_[u.index() + 1] -
-                                     user_offsets_[u.index()])};
-  }
-  /// Total (user, candidate cell) pairs in the index.
-  std::int64_t candidate_pair_count() const {
-    return static_cast<std::int64_t>(cell_users_.size());
-  }
-
-  /// Batched achievable rates for every candidate user of `v` under class
-  /// `c`, aligned with users_near(v).  Resizes `out`.
-  void rates_near(LocationId v, std::int32_t c,
-                  std::vector<double>& out) const;
 
  private:
   struct RadioClass {
@@ -134,26 +92,14 @@ class FlatScenario {
 
   const Scenario& scenario_;
 
-  std::vector<double> user_x_;
-  std::vector<double> user_y_;
-  std::vector<double> user_min_rate_;
-  std::vector<std::int32_t> uav_capacity_;
-  std::vector<double> uav_range_;
-
   std::vector<RadioClass> classes_;
   IdVector<UavTag, std::int32_t> uav_class_;
-  /// Distinct (class, r_min) → effective radius, ordered for lookup.
-  std::vector<std::pair<std::pair<std::int32_t, double>, double>> radii_;
   /// user*classes + c → effective radius² (negative: cannot serve).
   std::vector<double> user_class_radius2_;
-  /// Per-user candidate radius: max over classes of the effective radius.
-  std::vector<double> user_max_radius_;
 
   std::vector<std::int64_t> cell_offsets_;  ///< size m+1.
   std::vector<UserId> cell_users_;
   std::vector<double> cell_dist2_;
-  std::vector<std::int64_t> user_offsets_;  ///< size n+1.
-  std::vector<LocationId> user_cells_;
 };
 
 }  // namespace uavcov

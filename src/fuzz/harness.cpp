@@ -407,7 +407,6 @@ void run_repair_harness(const std::uint8_t* data, std::size_t size) {
   policy.local_repair_floor = r.take_double(0.05, 1.0);
   policy.escalate_on_gateway_loss = r.take_bool();
   policy.refine_rounds = static_cast<std::int32_t>(r.take_int(0, 2));
-  policy.audit = true;  // deep-audit every emitted solution, mid-repair too
   policy.appro.s = static_cast<std::int32_t>(
       r.take_int(1, std::min<std::int64_t>(2, K)));
   policy.appro.max_seed_subsets = 50;
@@ -557,7 +556,9 @@ void run_service_harness(const std::uint8_t* data, std::size_t size) {
   config.appro.max_seed_subsets = 50;
   config.appro.threads = 1;
   config.threads = r.take_bool() ? 2 : 1;
-  config.audit = true;  // deep §II-C + shard-partition audits every mission
+  // Deep audits on every tile's approAlg run and on the stitched mission
+  // (§II-C + shard partition).
+  config.appro.audit = true;
 
   service::TilePlan plan;
   try {

@@ -61,12 +61,4 @@ double brute_force_mst_weight(NodeId node_count,
   return best;
 }
 
-bool brute_force_connected(
-    NodeId node_count, const std::vector<std::pair<NodeId, NodeId>>& edges) {
-  if (node_count <= 1) return true;
-  Dsu dsu(node_count);
-  for (const auto& [u, v] : edges) dsu.unite(u, v);
-  return dsu.component_count() == 1;
-}
-
 }  // namespace uavcov::oracle

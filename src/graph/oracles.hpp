@@ -24,8 +24,4 @@ std::vector<std::vector<std::int32_t>> all_pairs_hops(const Graph& g);
 double brute_force_mst_weight(NodeId node_count,
                               const std::vector<WeightedEdge>& edges);
 
-/// Connectivity by DFS over an adjacency matrix.
-bool brute_force_connected(NodeId node_count,
-                           const std::vector<std::pair<NodeId, NodeId>>& edges);
-
 }  // namespace uavcov::oracle

@@ -134,7 +134,7 @@ void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
   append_double(receiver.bytes, scenario.receiver.bandwidth_hz);
   sections.push_back(std::move(receiver));
 
-  // User columns (SoA on disk, mirroring FlatScenario's layout in memory).
+  // User columns (SoA on disk: one section per field).
   std::vector<double> column(n);
   for (std::size_t i = 0; i < n; ++i) column[i] = scenario.users.raw()[i].pos.x;
   Section user_x{kSecUserX, {}};

@@ -135,7 +135,7 @@ std::int32_t RepairController::alive_count() const {
 
 void RepairController::audit_emitted(const Solution& degraded_solution,
                                      const char* subject) const {
-  if (!(policy_.audit || analysis::audit_env_enabled())) return;
+  if (!(policy_.appro.audit || analysis::audit_env_enabled())) return;
   UAVCOV_CHECK_MSG(coverage_.has_value(),
                    "audit requested with an empty fleet");
   analysis::AuditReport report =

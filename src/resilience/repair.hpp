@@ -27,9 +27,9 @@
 // Every solution the controller emits is §II-C feasible for the *degraded*
 // instance (fewer users served, never an invalid network), and — because
 // degradation only shrinks ranges and removes UAVs — feasible for the
-// original instance too.  With UAVCOV_AUDIT=1 (or RepairPolicy::audit)
-// each emitted solution must additionally pass the deep
-// analysis/audit.hpp solution audit, mid-repair included.
+// original instance too.  With UAVCOV_AUDIT=1 (or
+// RepairPolicy::appro.audit) each emitted solution must additionally pass
+// the deep analysis/audit.hpp solution audit, mid-repair included.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,6 @@ struct RepairPolicy {
   bool escalate_on_gateway_loss = true;
   /// refine_solution rounds after a successful local repair (0 = skip).
   std::int32_t refine_rounds = 2;
-  /// Force the deep audits even without UAVCOV_AUDIT.
-  bool audit = false;
   /// Parameters for full re-solves; time_budget_s bounds repair latency.
   ApproAlgParams appro{};
 

@@ -219,7 +219,7 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
   metrics.degraded_tiles.inc(degraded);
   out.stats.seconds = watch.elapsed_s();
 
-  if (config.audit || analysis::audit_env_enabled()) {
+  if (config.appro.audit || analysis::audit_env_enabled()) {
     analysis::require_clean(analysis::audit_shard_partition(
         scenario, tile_of_user, tile_of_uav, plan.tile_count()));
     analysis::require_clean(

@@ -35,9 +35,6 @@ struct MissionConfig {
   /// convention: 0 = all cores).  The stitched result is bit-identical
   /// for every thread count — merging happens in tile-id order.
   std::int32_t threads = 1;
-  /// Force the deep invariant audits on the stitched solution (also
-  /// honored process-wide via UAVCOV_AUDIT=1).
-  bool audit = false;
 
   /// Throws (std::invalid_argument / ContractError) on out-of-domain
   /// fields; delegates to the members' own validators.

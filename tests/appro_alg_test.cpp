@@ -5,10 +5,12 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/appro_alg.hpp"
 #include "core/exhaustive.hpp"
+#include "workload/builder.hpp"
 
 namespace uavcov {
 namespace {
@@ -70,19 +72,45 @@ TEST(ApproAlg, Deterministic) {
   EXPECT_EQ(a.deployments, b.deployments);
 }
 
+/// Lazy evaluation is an exact optimization of the same greedy: both modes
+/// must return the same solution, not only the same served count.
+void expect_lazy_matches_plain(const Scenario& sc, ApproAlgParams params,
+                               const std::string& label) {
+  params.lazy_greedy = true;
+  const Solution lazy = appro_alg(sc, params);
+  params.lazy_greedy = false;
+  const Solution plain = appro_alg(sc, params);
+  EXPECT_EQ(lazy.served, plain.served) << label;
+  EXPECT_EQ(lazy.fingerprint(), plain.fingerprint()) << label;
+}
+
 TEST(ApproAlg, LazyAndPlainGreedyAgree) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 1009);
-    const Scenario sc = random_scenario(rng, 5, 20, 5);
-    ApproAlgParams lazy;
-    lazy.s = 2;
-    lazy.lazy_greedy = true;
-    ApproAlgParams plain = lazy;
-    plain.lazy_greedy = false;
-    // Lazy evaluation is an exact optimization of the same greedy.
-    EXPECT_EQ(appro_alg(sc, lazy).served, appro_alg(sc, plain).served)
-        << "seed " << seed;
+    ApproAlgParams params;
+    params.s = 2;
+    expect_lazy_matches_plain(random_scenario(rng, 5, 20, 5), params,
+                              "seed " + std::to_string(seed));
   }
+  // Smallest-first order: a later UAV has more capacity than the one whose
+  // probes left their gains in the heap, so those gains are no bound.
+  ApproAlgParams params;
+  params.s = 1;
+  params.candidate_cap = 40;
+  params.capacity_ascending = true;
+  expect_lazy_matches_plain(
+      workload::ScenarioBuilder().users(400).uavs(8).seed(3).build(), params,
+      "smallest-first");
+  // Two radio classes: one class's gains do not bound the other's.
+  params.candidate_cap = 20;
+  params.capacity_ascending = false;
+  expect_lazy_matches_plain(workload::ScenarioBuilder()
+                                .users(150)
+                                .uavs(6)
+                                .heavy_fraction(0.5)
+                                .seed(6)
+                                .build(),
+                            params, "two radio classes");
 }
 
 TEST(ApproAlg, NoCoverableUsersGivesEmptySolution) {

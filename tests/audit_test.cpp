@@ -197,6 +197,19 @@ TEST(AuditSolution, SharedCellIsReported) {
       << report.to_string();
 }
 
+TEST(AuditSolution, OutOfGridCellIsReportedWithoutConnectivityCheck) {
+  const Scenario sc = two_cell_scenario();
+  const CoverageModel cov(sc);
+  Solution sol = feasible_two_cell_solution();
+  sol.deployments[1].loc = LocationId{sc.grid.size() + 5};
+  sol.user_to_deployment = {0, 0, -1};
+  sol.served = 2;
+  const AuditReport report = analysis::audit_solution(sc, cov, sol);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_TRUE(report.has(ViolationCode::kSolutionUnknownLocation))
+      << report.to_string();
+}
+
 // ---------------------------------------------------------------------------
 // audit_segment_plan mutations.
 

@@ -1,12 +1,11 @@
-// Tests for the strongly-typed index/quantity layer (common/typed.hpp):
+// Tests for the strongly-typed index layer (common/typed.hpp):
 // compile-time rejection probes, IdVector bounds behaviour under
-// UAVCOV_DCHECK, hashing, and value round-trips.
+// UAVCOV_DCHECK, and value round-trips.
 #include "common/typed.hpp"
 
 #include <gtest/gtest.h>
 
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -73,15 +72,6 @@ static_assert(!Subscriptable<IdVector<UserTag, int>, CellId>);
 static_assert(!Subscriptable<IdVector<UserTag, int>, int>);
 static_assert(!Subscriptable<IdVector<UserTag, int>, std::size_t>);
 
-// Quantities: same-tag arithmetic only, explicit construction.
-static_assert(!std::is_convertible_v<double, Meters>);
-static_assert(std::is_constructible_v<Meters, double>);
-static_assert(Addable<Meters, Meters>);
-static_assert(!Addable<Meters, Dbm>);
-static_assert(!EqComparable<Meters, Seconds>);
-static_assert(std::is_trivially_copyable_v<Meters>);
-static_assert(sizeof(Meters) == sizeof(double));
-
 // ---------------------------------------------------------------------------
 // Runtime behaviour.
 
@@ -107,18 +97,6 @@ TEST(StrongId, OrderingAndIncrement) {
   EXPECT_EQ(++k, UavId{4});
   EXPECT_EQ(k++, UavId{4});
   EXPECT_EQ(k, UavId{5});
-}
-
-TEST(StrongId, HashMatchesUnderlyingAndDropsIntoUnorderedSet) {
-  EXPECT_EQ(std::hash<UserId>{}(UserId{9}),
-            std::hash<std::int32_t>{}(std::int32_t{9}));
-  std::unordered_set<CellId> seen;
-  seen.insert(CellId{1});
-  seen.insert(CellId{2});
-  seen.insert(CellId{1});
-  EXPECT_EQ(seen.size(), 2u);
-  EXPECT_TRUE(seen.contains(CellId{2}));
-  EXPECT_FALSE(seen.contains(CellId{3}));
 }
 
 TEST(IdRange, IteratesHalfOpenTypedRange) {
@@ -171,25 +149,6 @@ TEST(IdVector, SubscriptBoundsCheckedUnderDcheck) {
   EXPECT_THROW(v[CellId::invalid()], ContractError);
 }
 #endif
-
-TEST(Quantity, ArithmeticAndRatios) {
-  const Meters a{300.0};
-  const Meters b{200.0};
-  EXPECT_DOUBLE_EQ((a + b).value(), 500.0);
-  EXPECT_DOUBLE_EQ((a - b).value(), 100.0);
-  EXPECT_DOUBLE_EQ((a * 2.0).value(), 600.0);
-  EXPECT_DOUBLE_EQ((0.5 * a).value(), 150.0);
-  EXPECT_DOUBLE_EQ((a / 3.0).value(), 100.0);
-  EXPECT_DOUBLE_EQ(a / b, 1.5);  // dimensionless ratio
-  EXPECT_LT(b, a);
-  EXPECT_DOUBLE_EQ((-b).value(), -200.0);
-}
-
-TEST(Quantity, DbmConvertsThroughMilliwatts) {
-  const Dbm p{30.0};
-  EXPECT_NEAR(to_milliwatts(p), 1000.0, 1e-9);
-  EXPECT_NEAR(dbm_from_milliwatts(1000.0).value(), 30.0, 1e-12);
-}
 
 }  // namespace
 }  // namespace uavcov

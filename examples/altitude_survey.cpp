@@ -11,12 +11,14 @@
 #include <iostream>
 
 #include "channel/radius.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/appro_alg.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace uavcov;
+  if (!CliParser().parse(argc, argv)) return 0;  // takes no flags
   const Radio radio{};
   const Receiver rx{};
   const double min_rate = 2e6;  // 2 Mb/s target (video from the field)

@@ -15,6 +15,7 @@
 #include "baselines/max_throughput.hpp"
 #include "baselines/mcs.hpp"
 #include "baselines/motion_ctrl.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/appro_alg.hpp"
 #include "workload/distributions.hpp"
@@ -86,7 +87,8 @@ void draw_map(const Scenario& sc, const Solution& sol) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!CliParser().parse(argc, argv)) return 0;  // takes no flags
   const Scenario sc = build_scenario();
   const CoverageModel cov(sc);
   std::cout << "Disaster response: " << sc.user_count()

@@ -4,11 +4,13 @@
 //   $ ./build/examples/quickstart
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "core/appro_alg.hpp"
 #include "workload/builder.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace uavcov;
+  if (!CliParser().parse(argc, argv)) return 0;  // takes no flags
 
   // 1. A disaster area: 3 × 3 km, fat-tailed user density (paper §IV-A),
   //    a heterogeneous fleet of 10 UAVs with capacities in [50, 300].

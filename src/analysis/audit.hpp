@@ -155,8 +155,8 @@ bool audit_env_enabled();
 /// Full §II-C feasibility audit of a finished solution: ids in range, each
 /// UAV/cell used once, every served user eligible (inside R_user^k at rate
 /// ≥ r_min) under its serving UAV, per-UAV load ≤ C_k, the UAV network
-/// connected under R_uav, and the served count consistent.  The
-/// report-collecting counterpart of validate_solution().
+/// connected under R_uav, and the served count consistent.  The one §II-C
+/// checker: validate_solution() throws from this report.
 [[nodiscard]] AuditReport audit_solution(const Scenario& scenario,
                            const CoverageModel& coverage,
                            const Solution& solution);

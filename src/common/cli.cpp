@@ -15,10 +15,16 @@ void CliParser::add_flag(const std::string& name, const std::string& help,
   order_.push_back(name);
 }
 
+void CliParser::usage_error(const std::string& message) const {
+  std::cerr << program_ << ": " << message << '\n';
+  std::exit(2);
+}
+
 bool CliParser::parse(int argc, const char* const* argv) {
+  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    UAVCOV_CHECK_MSG(arg.rfind("--", 0) == 0, "expected --flag, got: " + arg);
+    if (arg.rfind("--", 0) != 0) usage_error("expected --flag, got: " + arg);
     arg = arg.substr(2);
     if (arg == "help") {
       std::cout << help(argv[0]);
@@ -32,7 +38,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
       have_value = true;
     }
     auto it = flags_.find(name);
-    UAVCOV_CHECK_MSG(it != flags_.end(), "unknown flag: --" + name);
+    if (it == flags_.end()) usage_error("unknown flag: --" + name);
     if (!have_value) {
       // `--name value` unless the next token is another flag or absent
       // (then it is a boolean `--name` == true).
@@ -62,8 +68,9 @@ long long CliParser::get_int(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  UAVCOV_CHECK_MSG(end && *end == '\0' && !s.empty(),
-                   "flag --" + name + " is not an integer: " + s);
+  if (!end || *end != '\0' || s.empty()) {
+    usage_error("flag --" + name + " is not an integer: " + s);
+  }
   return v;
 }
 
@@ -71,8 +78,9 @@ double CliParser::get_double(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  UAVCOV_CHECK_MSG(end && *end == '\0' && !s.empty(),
-                   "flag --" + name + " is not a number: " + s);
+  if (!end || *end != '\0' || s.empty()) {
+    usage_error("flag --" + name + " is not a number: " + s);
+  }
   return v;
 }
 
@@ -80,8 +88,7 @@ bool CliParser::get_bool(const std::string& name) const {
   const std::string s = get_string(name);
   if (s == "true" || s == "1" || s == "yes") return true;
   if (s == "false" || s == "0" || s == "no") return false;
-  UAVCOV_CHECK_MSG(false, "flag --" + name + " is not a boolean: " + s);
-  return false;
+  usage_error("flag --" + name + " is not a boolean: " + s);
 }
 
 std::string CliParser::help(const std::string& program) const {

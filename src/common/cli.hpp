@@ -1,7 +1,12 @@
 // Tiny command-line flag parser for the bench/example binaries.
 //
 // Supports `--name value`, `--name=value`, and boolean `--name` forms.
-// Unknown flags are an error so typos in experiment scripts fail loudly.
+// Unknown flags are an error so typos in experiment scripts fail loudly:
+// a malformed command line (unknown flag, a token without `--`, a value
+// that does not parse as its flag's type) prints `<argv[0]>: <message>` to
+// stderr and exits the process with status 2.  Misuse by the program
+// itself (a duplicate registration, a lookup of an unregistered flag)
+// throws ContractError.
 #pragma once
 
 #include <map>
@@ -17,10 +22,12 @@ class CliParser {
   void add_flag(const std::string& name, const std::string& help,
                 const std::string& default_value);
 
-  /// Parse argv.  Throws ContractError on unknown flags or malformed input.
+  /// Parse argv; exits with status 2 on unknown flags or malformed input.
   /// Returns false if `--help` was requested (help text printed to stdout).
   bool parse(int argc, const char* const* argv);
 
+  /// Value of a registered flag, or its default.  The typed getters exit
+  /// with status 2 if the value does not parse.
   std::string get_string(const std::string& name) const;
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
@@ -36,9 +43,12 @@ class CliParser {
     std::optional<std::string> value;
   };
   const Flag& find(const std::string& name) const;
+  /// Print `<program>: <message>` to stderr and exit with status 2.
+  [[noreturn]] void usage_error(const std::string& message) const;
 
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;
+  std::string program_;
 };
 
 }  // namespace uavcov

@@ -8,33 +8,6 @@
 
 namespace uavcov {
 
-PartitionMatroid::PartitionMatroid(std::int32_t uav_count)
-    : used_(static_cast<std::size_t>(uav_count), false) {
-  UAVCOV_CHECK_MSG(uav_count >= 0, "uav count must be nonnegative");
-}
-
-bool PartitionMatroid::can_add(UavId uav) const {
-  UAVCOV_DCHECK(uav.valid() && uav.index() < used_.size());
-  return !used_[uav.index()];
-}
-
-void PartitionMatroid::add(UavId uav) {
-  UAVCOV_CHECK_MSG(can_add(uav), "UAV already used");
-  used_[uav.index()] = true;
-  ++size_;
-}
-
-void PartitionMatroid::remove(UavId uav) {
-  UAVCOV_CHECK_MSG(!can_add(uav), "UAV not in the set");
-  used_[uav.index()] = false;
-  --size_;
-}
-
-void PartitionMatroid::clear() {
-  std::fill(used_.begin(), used_.end(), false);
-  size_ = 0;
-}
-
 HopBudgetMatroid::HopBudgetMatroid(std::vector<std::int32_t> hop_distance,
                                    std::vector<std::int64_t> quotas)
     : hop_distance_(std::move(hop_distance)), quotas_(std::move(quotas)) {

@@ -1,8 +1,10 @@
 // The two matroids of §III-B / §III-C.
 //
 // M1 (partition matroid on N = X × V): a set of (uav, location) pairs is
-// independent iff no UAV appears twice.  (Location uniqueness is enforced
-// separately by the greedy, which never revisits a chosen cell.)
+// independent iff no UAV appears twice.  It needs no class: the greedy
+// takes its UAV order front to back, so each UAV is placed at most once.
+// (Location uniqueness is enforced separately by the greedy, which never
+// revisits a chosen cell.)
 //
 // M2 (hop-budget / laminar matroid on V): fix the s seed nodes V*_j and the
 // per-hop quotas Q_0..Q_hmax of Eq. (1).  With d(v) = min hops from v to
@@ -26,26 +28,6 @@
 #include "core/scenario.hpp"
 
 namespace uavcov {
-
-/// M1: each UAV may be used at most once.  Elements are (uav, location)
-/// pairs, but only the uav component matters for independence.
-class PartitionMatroid {
- public:
-  explicit PartitionMatroid(std::int32_t uav_count);
-
-  /// Could (uav, ·) be added to the current independent set?
-  bool can_add(UavId uav) const;
-
-  void add(UavId uav);
-  void remove(UavId uav);
-  void clear();
-
-  std::int32_t size() const { return size_; }
-
- private:
-  std::vector<bool> used_;
-  std::int32_t size_ = 0;
-};
 
 /// M2 over location hop distances.  Construct with the hop-distance vector
 /// d (multi-source BFS from the seeds) and the quota vector Q (index h,

@@ -1,9 +1,6 @@
 #include "core/solution.hpp"
 
-#include <set>
-#include <string>
-
-#include "common/check.hpp"
+#include "analysis/audit.hpp"
 #include "common/fingerprint.hpp"
 #include "graph/dsu.hpp"
 
@@ -60,48 +57,8 @@ bool deployments_connected(const Scenario& scenario,
 
 void validate_solution(const Scenario& scenario, const CoverageModel& coverage,
                        const Solution& solution) {
-  const auto& deps = solution.deployments;
-  UAVCOV_CHECK_MSG(
-      static_cast<std::int32_t>(deps.size()) <= scenario.uav_count(),
-      "more deployments than available UAVs");
-  std::set<UavId> uavs;
-  std::set<LocationId> locs;
-  for (const Deployment& d : deps) {
-    UAVCOV_CHECK_MSG(d.uav.valid() && d.uav.value() < scenario.uav_count(),
-                     "deployment references unknown UAV");
-    UAVCOV_CHECK_MSG(d.loc.valid() && d.loc.value() < scenario.grid.size(),
-                     "deployment references unknown location");
-    UAVCOV_CHECK_MSG(uavs.insert(d.uav).second,
-                     "UAV deployed at two locations");
-    UAVCOV_CHECK_MSG(locs.insert(d.loc).second,
-                     "two UAVs share one grid cell");
-  }
-  UAVCOV_CHECK_MSG(deployments_connected(scenario, deps),
-                   "UAV network is disconnected");
-
-  UAVCOV_CHECK_MSG(solution.user_to_deployment.size() ==
-                       scenario.users.size(),
-                   "assignment vector size mismatch");
-  std::vector<std::int64_t> load(deps.size(), 0);
-  std::int64_t served = 0;
-  for (const UserId u : scenario.user_ids()) {
-    const std::int32_t d = solution.user_to_deployment[u];
-    if (d == -1) continue;
-    UAVCOV_CHECK_MSG(d >= 0 && d < static_cast<std::int32_t>(deps.size()),
-                     "assignment references unknown deployment");
-    const Deployment& dep = deps[static_cast<std::size_t>(d)];
-    UAVCOV_CHECK_MSG(
-        coverage.is_eligible(scenario, u, dep.loc, dep.uav),
-        "user " + std::to_string(u.value()) + " not eligible under its UAV");
-    ++load[static_cast<std::size_t>(d)];
-    ++served;
-  }
-  for (std::size_t d = 0; d < deps.size(); ++d) {
-    const auto cap = scenario.fleet[deps[d].uav].capacity;
-    UAVCOV_CHECK_MSG(load[d] <= cap, "UAV load exceeds its capacity");
-  }
-  UAVCOV_CHECK_MSG(served == solution.served,
-                   "served count inconsistent with assignment");
+  analysis::require_clean(
+      analysis::audit_solution(scenario, coverage, solution));
 }
 
 }  // namespace uavcov

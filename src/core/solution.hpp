@@ -37,8 +37,9 @@ struct Solution {
   std::uint64_t fingerprint() const;
 };
 
-/// Audits every problem constraint (§II-C); throws ContractError with a
-/// description of the first violation:
+/// Checks every problem constraint (§II-C) through
+/// analysis::audit_solution and throws analysis::AuditError (a
+/// ContractError) whose report lists every violation found:
 ///   * <= K deployments; UAV ids and locations all distinct & in range;
 ///   * served users eligible (range + rate) under their serving UAV;
 ///   * per-UAV load <= capacity;

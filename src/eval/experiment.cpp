@@ -24,29 +24,18 @@ std::vector<AlgoResult> run_all_on(const Scenario& scenario,
                                    ApproAlgStats* appro_stats) {
   std::vector<AlgoResult> results;
   const auto record = [&](const Solution& solution) {
-    if (config.validate) validate_solution(scenario, coverage, solution);
+    validate_solution(scenario, coverage, solution);
     results.push_back({solution.algorithm, solution.served,
                        solution.solve_seconds, solution.fingerprint()});
   };
 
-  if (config.run_appro) {
-    record(solve(scenario, coverage, config.appro, appro_stats));
-  }
-  if (config.run_max_throughput) {
-    baselines::MaxThroughputParams params;
-    params.candidate_cap = config.appro.candidate_cap;
-    record(baselines::solve(scenario, coverage, params));
-  }
-  if (config.run_motion_ctrl) {
-    record(baselines::solve(scenario, coverage, baselines::MotionCtrlParams{}));
-  }
-  if (config.run_mcs) {
-    record(baselines::solve(scenario, coverage, baselines::McsParams{}));
-  }
-  if (config.run_greedy_assign) {
-    record(
-        baselines::solve(scenario, coverage, baselines::GreedyAssignParams{}));
-  }
+  record(solve(scenario, coverage, config.appro, appro_stats));
+  baselines::MaxThroughputParams max_throughput;
+  max_throughput.candidate_cap = config.appro.candidate_cap;
+  record(baselines::solve(scenario, coverage, max_throughput));
+  record(baselines::solve(scenario, coverage, baselines::MotionCtrlParams{}));
+  record(baselines::solve(scenario, coverage, baselines::McsParams{}));
+  record(baselines::solve(scenario, coverage, baselines::GreedyAssignParams{}));
   if (config.run_random) {
     record(baselines::solve(scenario, coverage,
                             baselines::RandomConnectedParams{}));

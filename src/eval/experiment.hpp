@@ -26,18 +26,13 @@ struct RunConfig {
   workload::ScenarioConfig scenario{};
   ApproAlgParams appro{};
   std::uint64_t seed = 1;
-  bool run_appro = true;
-  bool run_max_throughput = true;
-  bool run_motion_ctrl = true;
-  bool run_mcs = true;
-  bool run_greedy_assign = true;
-  bool run_random = false;
-  bool validate = true;  ///< audit every solution against §II-C.
+  bool run_random = false;  ///< also run the RandomConnected baseline.
 };
 
-/// Generates the scenario from `config.seed` and runs the selected
-/// algorithms.  Order of results: approAlg, maxThroughput, MotionCtrl,
-/// MCS, GreedyAssign, RandomConnected (selected ones only).
+/// Generates the scenario from `config.seed`, runs every algorithm and
+/// validates each solution against §II-C.  Order of results: approAlg,
+/// maxThroughput, MotionCtrl, MCS, GreedyAssign, then RandomConnected if
+/// `config.run_random`.
 std::vector<AlgoResult> run_all(const RunConfig& config,
                                 ApproAlgStats* appro_stats = nullptr);
 

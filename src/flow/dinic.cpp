@@ -152,13 +152,4 @@ void DinicFlow::rollback(const Checkpoint& cp) {
   ++epoch_;  // invalidate journal stamps from the rolled-back region
 }
 
-void DinicFlow::commit(const Checkpoint& cp) {
-  UAVCOV_CHECK_MSG(active_checkpoints_ > 0, "commit without checkpoint");
-  UAVCOV_CHECK_MSG(cp.journal_size <= journal_.size(),
-                   "stale or out-of-order checkpoint");
-  --active_checkpoints_;
-  if (active_checkpoints_ == 0) journal_.clear();
-  ++epoch_;
-}
-
 }  // namespace uavcov

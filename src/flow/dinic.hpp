@@ -93,10 +93,6 @@ class DinicFlow {
   /// in LIFO order).
   void rollback(const Checkpoint& cp);
 
-  /// Close the most recent checkpoint keeping all changes.  Journal entries
-  /// are retained so an enclosing checkpoint still rolls back correctly.
-  void commit(const Checkpoint& cp);
-
  private:
   void journal_touch(EdgeId e);
   bool bfs_levels(FlowNode s, FlowNode t);

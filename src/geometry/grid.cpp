@@ -85,11 +85,4 @@ std::vector<LocationId> Grid::centers_within(Vec2 p, double radius) const {
   return out;
 }
 
-std::vector<Vec2> Grid::all_centers() const {
-  std::vector<Vec2> centers;
-  centers.reserve(static_cast<std::size_t>(size()));
-  for (const LocationId id : cells()) centers.push_back(center(id));
-  return centers;
-}
-
 }  // namespace uavcov

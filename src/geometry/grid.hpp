@@ -63,9 +63,6 @@ class Grid {
   /// Scans only the bounding box of the disc.
   std::vector<LocationId> centers_within(Vec2 p, double radius) const;
 
-  /// All centers as a flat vector, index == LocationId.
-  std::vector<Vec2> all_centers() const;
-
  private:
   double width_;
   double height_;

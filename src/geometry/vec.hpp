@@ -1,8 +1,8 @@
-// 2-D / 3-D vector types for ground-user and UAV positions.
+// 2-D vector type for ground-user and UAV positions.
 //
 // Coordinates are meters.  Users live on the ground plane (z = 0); UAVs
-// hover at a common altitude H_uav (paper §II-A), so most geometry is 2-D
-// with the altitude folded in where 3-D distance is needed.
+// hover at a common altitude H_uav (paper §II-A), so the geometry is 2-D
+// and the channel model folds the altitude in where it needs it.
 #pragma once
 
 #include <cmath>
@@ -32,32 +32,5 @@ inline double distance(Vec2 a, Vec2 b) { return (a - b).norm(); }
 
 /// Squared distance (cheaper; used in range tests).
 inline constexpr double distance2(Vec2 a, Vec2 b) { return (a - b).norm2(); }
-
-struct Vec3 {
-  double x = 0.0;
-  double y = 0.0;
-  double z = 0.0;
-
-  constexpr Vec3() = default;
-  constexpr Vec3(double x_, double y_, double z_) : x(x_), y(y_), z(z_) {}
-  constexpr Vec3(Vec2 xy, double z_) : x(xy.x), y(xy.y), z(z_) {}
-
-  constexpr Vec3 operator-(Vec3 o) const { return {x - o.x, y - o.y, z - o.z}; }
-  constexpr bool operator==(const Vec3&) const = default;
-
-  constexpr double norm2() const { return x * x + y * y + z * z; }
-  double norm() const { return std::sqrt(norm2()); }
-
-  constexpr Vec2 xy() const { return {x, y}; }
-};
-
-inline double distance(Vec3 a, Vec3 b) { return (a - b).norm(); }
-
-/// 3-D distance between a ground point and a point at altitude h above
-/// another ground point — the UAV-to-user slant range of the paper.
-inline double slant_range(Vec2 ground, Vec2 uav_xy, double altitude) {
-  const double horizontal2 = distance2(ground, uav_xy);
-  return std::sqrt(horizontal2 + altitude * altitude);
-}
 
 }  // namespace uavcov

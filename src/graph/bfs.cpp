@@ -1,6 +1,5 @@
 #include "graph/bfs.hpp"
 
-#include <algorithm>
 #include <deque>
 
 namespace uavcov {
@@ -49,20 +48,6 @@ BfsTree bfs_tree(const Graph& g, std::span<const NodeId> sources) {
   return bfs_impl(g, sources);
 }
 
-std::vector<NodeId> shortest_hop_path(const Graph& g, NodeId from, NodeId to) {
-  const NodeId sources[] = {from};
-  const BfsTree tree = bfs_impl(g, sources);
-  if (tree.distance[static_cast<std::size_t>(to)] == kUnreachable) return {};
-  std::vector<NodeId> path;
-  for (NodeId v = to; v != kNoParent;
-       v = tree.parent[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  UAVCOV_DCHECK(path.front() == from && path.back() == to);
-  return path;
-}
-
 bool is_induced_subgraph_connected(const Graph& g,
                                    std::span<const NodeId> nodes) {
   if (nodes.size() <= 1) return true;
@@ -97,30 +82,6 @@ bool is_induced_subgraph_connected(const Graph& g,
     }
   }
   return reached == distinct;
-}
-
-std::vector<std::int32_t> connected_components(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::vector<std::int32_t> label(n, -1);
-  std::int32_t next = 0;
-  std::deque<NodeId> queue;
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    if (label[static_cast<std::size_t>(s)] != -1) continue;
-    label[static_cast<std::size_t>(s)] = next;
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      for (NodeId v : g.neighbors(u)) {
-        if (label[static_cast<std::size_t>(v)] == -1) {
-          label[static_cast<std::size_t>(v)] = next;
-          queue.push_back(v);
-        }
-      }
-    }
-    ++next;
-  }
-  return label;
 }
 
 }  // namespace uavcov

@@ -1,5 +1,5 @@
 // Breadth-first search utilities: single- and multi-source hop distances,
-// shortest-hop path reconstruction, connectivity tests.
+// BFS parent trees, induced-subgraph connectivity.
 //
 // Hop distance in the location graph is the metric of matroid M2 (nodes at
 // most h_max hops from the seed set) and of the relay-stitching step
@@ -39,17 +39,9 @@ struct BfsTree {
 };
 BfsTree bfs_tree(const Graph& g, std::span<const NodeId> sources);
 
-/// One shortest-hop path from `from` to `to` (inclusive of endpoints).
-/// Returns empty vector if unreachable.
-std::vector<NodeId> shortest_hop_path(const Graph& g, NodeId from, NodeId to);
-
 /// True if the subgraph induced by `nodes` is connected (single node and
 /// empty sets count as connected).  Induced edges only.
 bool is_induced_subgraph_connected(const Graph& g,
                                    std::span<const NodeId> nodes);
-
-/// Connected component label per node (labels are 0-based, assigned in
-/// order of lowest-index member).
-std::vector<std::int32_t> connected_components(const Graph& g);
 
 }  // namespace uavcov

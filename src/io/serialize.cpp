@@ -229,18 +229,4 @@ Scenario load_scenario_file(const std::string& path) {
   return load_scenario(in);
 }
 
-void save_solution_file(const std::string& path, const Solution& solution,
-                        Format format) {
-  std::ofstream out;
-  codec::open_checked(out, path);
-  save_solution(out, solution, format);
-}
-
-Solution load_solution_file(const std::string& path,
-                            std::int32_t user_count) {
-  std::ifstream in;
-  codec::open_checked(in, path);
-  return load_solution(in, user_count);
-}
-
 }  // namespace uavcov::io

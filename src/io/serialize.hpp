@@ -68,8 +68,6 @@ Scenario load_scenario_file(const std::string& path);
 
 void save_solution(std::ostream& out, const Solution& solution,
                    Format format = Format::kText);
-void save_solution_file(const std::string& path, const Solution& solution,
-                        Format format = Format::kText);
 
 /// Parses a solution in either format.  `user_count` sizes the assignment
 /// vector (users not listed are unserved).  Throws ContractError on
@@ -78,7 +76,5 @@ void save_solution_file(const std::string& path, const Solution& solution,
 /// input never declared.
 Solution load_solution(std::istream& in, std::int32_t user_count);
 Solution load_solution(std::string_view bytes, std::int32_t user_count);
-Solution load_solution_file(const std::string& path,
-                            std::int32_t user_count);
 
 }  // namespace uavcov::io

@@ -253,10 +253,4 @@ stream::ChurnTrace load_trace(std::istream& in) {
   return load_trace(std::string_view(codec::slurp(in)));
 }
 
-stream::ChurnTrace load_trace_file(const std::string& path) {
-  std::ifstream in;
-  codec::open_checked(in, path);
-  return load_trace(in);
-}
-
 }  // namespace uavcov::io

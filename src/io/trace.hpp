@@ -43,6 +43,5 @@ void save_trace_file(const std::string& path, const stream::ChurnTrace& trace,
 /// negative uids, non-finite coordinates or rates, checksum mismatches.
 stream::ChurnTrace load_trace(std::istream& in);
 stream::ChurnTrace load_trace(std::string_view bytes);
-stream::ChurnTrace load_trace_file(const std::string& path);
 
 }  // namespace uavcov::io

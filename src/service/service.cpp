@@ -222,8 +222,6 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
   if (config.appro.audit || analysis::audit_env_enabled()) {
     analysis::require_clean(analysis::audit_shard_partition(
         scenario, tile_of_user, tile_of_uav, plan.tile_count()));
-    analysis::require_clean(
-        analysis::audit_solution(scenario, coverage, out.solution));
     validate_solution(scenario, coverage, out.solution);
   }
   return out;

@@ -328,11 +328,12 @@ TEST(Cli, DefaultsApplyWhenAbsent) {
   EXPECT_EQ(cli.get_int("n"), 7);
 }
 
-TEST(Cli, UnknownFlagThrows) {
+TEST(Cli, UnknownFlagExitsWithUsageError) {
   CliParser cli;
   cli.add_flag("n", "count", "7");
   const char* argv[] = {"prog", "--m", "3"};
-  EXPECT_THROW(cli.parse(3, argv), ContractError);
+  EXPECT_EXIT(cli.parse(3, argv), testing::ExitedWithCode(2),
+              "prog: unknown flag: --m");
 }
 
 TEST(Cli, HelpReturnsFalse) {
@@ -342,12 +343,13 @@ TEST(Cli, HelpReturnsFalse) {
   EXPECT_FALSE(cli.parse(2, argv));
 }
 
-TEST(Cli, TypeMismatchThrows) {
+TEST(Cli, TypeMismatchExitsWithUsageError) {
   CliParser cli;
   cli.add_flag("n", "count", "7");
   const char* argv[] = {"prog", "--n", "abc"};
   ASSERT_TRUE(cli.parse(3, argv));
-  EXPECT_THROW(cli.get_int("n"), ContractError);
+  EXPECT_EXIT(cli.get_int("n"), testing::ExitedWithCode(2),
+              "prog: flag --n is not an integer: abc");
 }
 
 TEST(Cli, DuplicateRegistrationThrows) {

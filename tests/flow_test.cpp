@@ -149,23 +149,6 @@ TEST(DinicCheckpoint, NestedScopesUnwindInOrder) {
   EXPECT_EQ(f.edge_count(), 2);
 }
 
-TEST(DinicCheckpoint, CommitKeepsChangesUnderOuterRollback) {
-  DinicFlow f;
-  const auto s = f.add_node();
-  const auto t = f.add_node();
-  f.add_edge(s, t, 1);
-  EXPECT_EQ(f.augment(s, t), 1);
-
-  const auto outer = f.checkpoint();
-  const auto inner = f.checkpoint();
-  f.add_edge(s, t, 2);
-  EXPECT_EQ(f.augment(s, t), 2);
-  f.commit(inner);                 // keep the inner changes...
-  f.rollback(outer);               // ...but outer rollback wipes them too
-  EXPECT_EQ(f.edge_count(), 2);
-  EXPECT_EQ(f.augment(s, t), 0);
-}
-
 TEST(DinicCheckpoint, RollbackWithoutCheckpointThrows) {
   DinicFlow f;
   DinicFlow::Checkpoint cp{};

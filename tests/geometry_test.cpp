@@ -26,17 +26,6 @@ TEST(Vec2, NormAndDistance) {
   EXPECT_DOUBLE_EQ(distance2(Vec2(1, 1), Vec2(4, 5)), 25.0);
 }
 
-TEST(Vec3, NormAndXy) {
-  const Vec3 v{1, 2, 2};
-  EXPECT_DOUBLE_EQ(v.norm(), 3.0);
-  EXPECT_EQ(v.xy(), Vec2(1, 2));
-}
-
-TEST(SlantRange, FoldsAltitude) {
-  EXPECT_DOUBLE_EQ(slant_range({0, 0}, {3, 0}, 4.0), 5.0);
-  EXPECT_DOUBLE_EQ(slant_range({1, 1}, {1, 1}, 300.0), 300.0);
-}
-
 TEST(Grid, DimensionsAndSize) {
   const Grid g(3000, 3000, 300);
   EXPECT_EQ(g.cols(), 10);
@@ -112,15 +101,6 @@ TEST(Grid, CentersWithinZeroRadius) {
   const auto on_center = g.centers_within({50, 50}, 0);
   ASSERT_EQ(on_center.size(), 1u);
   EXPECT_EQ(on_center[0], g.id_of(0, 0));
-}
-
-TEST(Grid, AllCentersIndexedById) {
-  const Grid g(400, 300, 100);
-  const auto centers = g.all_centers();
-  ASSERT_EQ(static_cast<std::int32_t>(centers.size()), g.size());
-  for (const LocationId id : g.cells()) {
-    EXPECT_EQ(centers[id.index()], g.center(id));
-  }
 }
 
 }  // namespace

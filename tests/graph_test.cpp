@@ -109,29 +109,6 @@ TEST_P(BfsRandom, MatchesFloydWarshall) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BfsRandom, testing::Range(0, 15));
 
-TEST(ShortestHopPath, ReconstructsValidPath) {
-  Rng rng(77);
-  const NodeId n = 12;
-  const Graph g = Graph::from_edges(n, random_edges(n, 0.25, rng));
-  const auto apsp = oracle::all_pairs_hops(g);
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      const auto path = shortest_hop_path(g, a, b);
-      const auto d = apsp[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-      if (d == kUnreachable) {
-        EXPECT_TRUE(path.empty());
-        continue;
-      }
-      ASSERT_EQ(static_cast<std::int32_t>(path.size()), d + 1);
-      EXPECT_EQ(path.front(), a);
-      EXPECT_EQ(path.back(), b);
-      for (std::size_t i = 1; i < path.size(); ++i) {
-        EXPECT_TRUE(g.has_edge(path[i - 1], path[i]));
-      }
-    }
-  }
-}
-
 TEST(InducedConnectivity, DetectsBothCases) {
   const Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {3, 4}});
   const NodeId connected[] = {0, 1, 2};
@@ -147,15 +124,6 @@ TEST(InducedConnectivity, TrivialSets) {
   EXPECT_TRUE(is_induced_subgraph_connected(g, {}));
   const NodeId one[] = {2};
   EXPECT_TRUE(is_induced_subgraph_connected(g, one));
-}
-
-TEST(ConnectedComponents, LabelsByComponent) {
-  const Graph g = Graph::from_edges(5, {{0, 1}, {3, 4}});
-  const auto label = connected_components(g);
-  EXPECT_EQ(label[0], label[1]);
-  EXPECT_EQ(label[3], label[4]);
-  EXPECT_NE(label[0], label[2]);
-  EXPECT_NE(label[2], label[3]);
 }
 
 TEST(Dsu, UniteAndFind) {

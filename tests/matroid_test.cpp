@@ -13,39 +13,6 @@
 namespace uavcov {
 namespace {
 
-TEST(PartitionMatroid, BasicAddRemove) {
-  PartitionMatroid m1(3);
-  EXPECT_TRUE(m1.can_add(UavId{0}));
-  m1.add(UavId{0});
-  EXPECT_FALSE(m1.can_add(UavId{0}));
-  EXPECT_TRUE(m1.can_add(UavId{1}));
-  EXPECT_EQ(m1.size(), 1);
-  m1.remove(UavId{0});
-  EXPECT_TRUE(m1.can_add(UavId{0}));
-  EXPECT_EQ(m1.size(), 0);
-}
-
-TEST(PartitionMatroid, DoubleAddThrows) {
-  PartitionMatroid m1(2);
-  m1.add(UavId{1});
-  EXPECT_THROW(m1.add(UavId{1}), ContractError);
-}
-
-TEST(PartitionMatroid, RemoveAbsentThrows) {
-  PartitionMatroid m1(2);
-  EXPECT_THROW(m1.remove(UavId{0}), ContractError);
-}
-
-TEST(PartitionMatroid, ClearResets) {
-  PartitionMatroid m1(2);
-  m1.add(UavId{0});
-  m1.add(UavId{1});
-  m1.clear();
-  EXPECT_TRUE(m1.can_add(UavId{0}));
-  EXPECT_TRUE(m1.can_add(UavId{1}));
-  EXPECT_EQ(m1.size(), 0);
-}
-
 TEST(PartitionMatroid, AxiomsHoldExhaustively) {
   // Elements 0..5 are (uav, loc) pairs over 3 UAVs: element e has uav e/2.
   const auto independent = [](std::span<const std::int32_t> set) {

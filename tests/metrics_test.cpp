@@ -1,13 +1,15 @@
-// Tests for articulation points and the solution metrics module.
+// Tests for graph/articulation, the critical-UAV metric of a deployed
+// network: articulation points against the brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "core/appro_alg.hpp"
-#include "eval/metrics.hpp"
 #include "graph/articulation.hpp"
-#include "workload/scenario_gen.hpp"
+#include "graph/graph.hpp"
 
 namespace uavcov {
 namespace {
@@ -61,100 +63,6 @@ TEST_P(ArticulationRandom, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArticulationRandom, testing::Range(0, 20));
-
-TEST(JainFairness, KnownValues) {
-  using eval::jain_fairness;
-  EXPECT_DOUBLE_EQ(jain_fairness({1, 1, 1, 1}), 1.0);
-  EXPECT_NEAR(jain_fairness({1, 0, 0, 0}), 0.25, 1e-12);
-  EXPECT_DOUBLE_EQ(jain_fairness({}), 0.0);
-  EXPECT_DOUBLE_EQ(jain_fairness({0, 0}), 1.0);
-  EXPECT_NEAR(jain_fairness({2, 4}), 0.9, 1e-12);  // 36/(2*20)
-}
-
-TEST(Metrics, EndToEndOnSolvedScenario) {
-  Rng rng(21);
-  workload::ScenarioConfig config;
-  config.width_m = 1500;
-  config.height_m = 1500;
-  config.cell_side_m = 300;
-  config.user_count = 120;
-  config.fleet.uav_count = 6;
-  config.fleet.capacity_min = 10;
-  config.fleet.capacity_max = 50;
-  const Scenario sc = workload::make_disaster_scenario(config, rng);
-  const CoverageModel cov(sc);
-  ApproAlgParams params;
-  params.s = 2;
-  const Solution sol = appro_alg(sc, cov, params);
-
-  const auto metrics = eval::compute_metrics(sc, cov, sol);
-  EXPECT_EQ(metrics.served, sol.served);
-  EXPECT_NEAR(metrics.coverage_fraction,
-              static_cast<double>(sol.served) / 120.0, 1e-12);
-  EXPECT_GT(metrics.capacity_utilization, 0.0);
-  EXPECT_LE(metrics.capacity_utilization, 1.0 + 1e-12);
-  EXPECT_GT(metrics.load_fairness, 0.0);
-  EXPECT_LE(metrics.load_fairness, 1.0 + 1e-12);
-  EXPECT_GT(metrics.mean_user_rate_bps, metrics.min_user_rate_bps * 0.999);
-  EXPECT_GE(metrics.min_user_rate_bps, 1e3);  // every served user's r_min
-  EXPECT_EQ(metrics.deployed_uavs,
-            static_cast<std::int32_t>(sol.deployments.size()));
-  EXPECT_GE(metrics.relay_only_uavs, 0);
-  // Critical UAVs must be actual fleet members.
-  for (const UavId k : metrics.critical_uavs) {
-    EXPECT_TRUE(k.valid());
-    EXPECT_LT(k.value(), sc.uav_count());
-  }
-}
-
-TEST(Metrics, ChainDeploymentIsFragile) {
-  // Straight relay chain: every interior UAV is critical.
-  Scenario sc{
-      .grid = Grid(500, 100, 100),
-      .altitude_m = 60.0,
-      .uav_range_m = 150.0,
-      .channel = {},
-      .receiver = {},
-      .users = {{{50, 50}, 1e3}, {{450, 50}, 1e3}},
-      .fleet = {{2, Radio{}, 120.0},
-                {2, Radio{}, 120.0},
-                {2, Radio{}, 120.0},
-                {2, Radio{}, 120.0},
-                {2, Radio{}, 120.0}},
-  };
-  const CoverageModel cov(sc);
-  Solution sol;
-  sol.algorithm = "chain";
-  sol.deployments = {{UavId{0}, LocationId{0}},
-                     {UavId{1}, LocationId{1}},
-                     {UavId{2}, LocationId{2}},
-                     {UavId{3}, LocationId{3}},
-                     {UavId{4}, LocationId{4}}};
-  sol.user_to_deployment = {0, 4};
-  sol.served = 2;
-  const auto metrics = eval::compute_metrics(sc, cov, sol);
-  EXPECT_EQ(metrics.critical_uavs.size(), 3u);  // UAVs 1, 2, 3
-  EXPECT_EQ(metrics.relay_only_uavs, 3);
-}
-
-TEST(Metrics, EmptySolution) {
-  Scenario sc{
-      .grid = Grid(300, 300, 100),
-      .altitude_m = 60.0,
-      .uav_range_m = 150.0,
-      .channel = {},
-      .receiver = {},
-      .users = {{{50, 50}, 1e3}},
-      .fleet = {{2, Radio{}, 120.0}},
-  };
-  const CoverageModel cov(sc);
-  Solution empty;
-  empty.user_to_deployment = {-1};
-  const auto metrics = eval::compute_metrics(sc, cov, empty);
-  EXPECT_EQ(metrics.served, 0);
-  EXPECT_EQ(metrics.deployed_uavs, 0);
-  EXPECT_TRUE(metrics.critical_uavs.empty());
-}
 
 }  // namespace
 }  // namespace uavcov

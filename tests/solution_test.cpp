@@ -1,7 +1,8 @@
 // Tests for Solution/validate_solution: the audit must catch every class
-// of constraint violation (§II-C).
+// of constraint violation (§II-C) and name all of them at once.
 #include <gtest/gtest.h>
 
+#include "analysis/audit.hpp"
 #include "core/coverage.hpp"
 #include "core/solution.hpp"
 
@@ -131,6 +132,25 @@ TEST(ValidateSolution, RejectsBadIndices) {
     Solution sol = valid_solution();
     sol.user_to_deployment = {0};  // wrong size
     EXPECT_THROW(validate_solution(sc, cov, sol), ContractError);
+  }
+}
+
+TEST(ValidateSolution, ReportsEveryViolation) {
+  Scenario sc = make_scenario();
+  sc.users.push_back({{60, 50}, 1e3});  // second user near cell 0
+  const CoverageModel cov(sc);
+  Solution sol = valid_solution();
+  sol.deployments = {{UavId{0}, LocationId{0}}, {UavId{1}, LocationId{0}}};
+  sol.user_to_deployment = {0, -1, 0};  // two users on a capacity-1 UAV
+  sol.served = 3;                       // assignment vector says 2
+  try {
+    validate_solution(sc, cov, sol);
+    FAIL() << "infeasible solution accepted";
+  } catch (const analysis::AuditError& e) {
+    using analysis::ViolationCode;
+    EXPECT_TRUE(e.report().has(ViolationCode::kSolutionCellShared));
+    EXPECT_TRUE(e.report().has(ViolationCode::kSolutionOverCapacity));
+    EXPECT_TRUE(e.report().has(ViolationCode::kSolutionServedMismatch));
   }
 }
 

@@ -27,7 +27,7 @@
 #include "core/refine.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   CliParser cli;
   cli.add_flag("users", "number of ground users", "1000");
@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   workload::ScenarioConfig config;
-  config.user_count = static_cast<std::int32_t>(cli.get_int("users"));
-  config.fleet.uav_count = static_cast<std::int32_t>(cli.get_int("uavs"));
+  config.user_count = cli.get_int("users");
+  config.fleet.uav_count = cli.get_int("uavs");
   const Scenario scenario = workload::make_disaster_scenario(config, rng);
   const CoverageModel coverage(scenario);
-  const auto s = static_cast<std::int32_t>(cli.get_int("s"));
+  const auto s = cli.get_int("s");
 
   auto run = [&](const ApproAlgParams& params, ApproAlgStats& stats) {
     const Solution sol = appro_alg(scenario, coverage, params, &stats);
@@ -196,4 +196,6 @@ int main(int argc, char** argv) {
   }
 
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

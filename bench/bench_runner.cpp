@@ -32,7 +32,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/fault_plan.hpp"
-#include "resilience/repair.hpp"
 #include "service/service.hpp"
 #include "stream/engine.hpp"
 #include "workload/builder.hpp"
@@ -173,16 +172,19 @@ void run_suite(uavcov::obs::JsonWriter& w, bool quick,
   }
 
   // Failure-repair drill (docs/RESILIENCE.md): one pinned (scenario,
-  // fault plan) pair through deploy → inject → self-healing repair.
+  // fault plan) pair through the stream engine — a first epoch deploys,
+  // then each fault is an epoch of its own (patch or full re-solve).
   // Append-only like the solver suite; part of the quick subset.  The
-  // rows are the initial deployment and the post-drill solution, so any
-  // behavioral change to fault injection or repair moves a pinned
-  // fingerprint here.
+  // rows are the initial deployment and the standing solution after each
+  // fault (the last fault is the gateway loss, which always re-solves), so
+  // any behavioral change to fault injection, the patch or the escalation
+  // moves a pinned fingerprint here.
   {
     const BenchCase c{"repair_drill_s2", 106, 500, 10, 2, 150, true};
     const uavcov::eval::RunConfig config = make_config(c);
     const Scenario scenario = disaster_scenario(config);
-    uavcov::resilience::RepairPolicy policy;
+    uavcov::stream::StreamPolicy policy;
+    policy.served_floor = 0.7;
     policy.appro = config.appro;
     uavcov::resilience::FaultPlanConfig faults;
     faults.events = 3;
@@ -190,16 +192,25 @@ void run_suite(uavcov::obs::JsonWriter& w, bool quick,
     const uavcov::resilience::FaultPlan plan =
         uavcov::resilience::make_fault_plan(scenario, faults, c.seed * 1009);
     const auto drill = [&] {
-      uavcov::resilience::RepairController controller(scenario, policy);
-      const Solution initial = controller.deploy();
-      for (const uavcov::resilience::FaultEvent& e : plan.events) {
-        controller.on_fault(e);
-      }
+      uavcov::stream::StreamEngine engine(scenario, policy);
+      Outcome out;
+      // Intact fleet: the first epoch's materialized ids are base ids.
+      const Solution initial = engine.step({}).solution;
       require_valid(c.name + "/approAlg_initial", scenario, initial);
-      require_valid(c.name + "/repair_final", scenario, controller.current());
-      return Outcome{{row("approAlg_initial", initial),
-                      row("repair_final", controller.current())},
-                     {}};
+      out.rows.push_back(row("approAlg_initial", initial));
+      for (std::size_t i = 0; i < plan.events.size(); ++i) {
+        engine.step({}, {&plan.events[i], 1});
+        const std::string name =
+            i + 1 == plan.events.size()
+                ? std::string("repair_final")
+                : std::string(uavcov::stream::to_string(plan.events[i].kind)) +
+                      "_" + std::to_string(i + 1);
+        const Solution standing =
+            uavcov::stream::in_base_ids(engine.ingest(), engine.current());
+        require_valid(c.name + "/" + name, scenario, standing);
+        out.rows.push_back(row(name, standing));
+      }
+      return out;
     };
     run_case(w, c, scenario, {{"fault_plan_fingerprint", plan.fingerprint()}},
              drill);
@@ -345,7 +356,7 @@ void run_suite(uavcov::obs::JsonWriter& w, bool quick,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   uavcov::CliParser cli;
   cli.add_flag("quick", "run only the quick subset (the ctest leg)", "false");
   cli.add_flag("out", "output JSON path", "BENCH_coverage.json");
@@ -375,4 +386,6 @@ int main(int argc, char** argv) {
   UAVCOV_CHECK_MSG(out.good(), "failed writing " + out_path);
   std::cerr << "[bench_runner] wrote " << out_path << "\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -10,7 +10,7 @@
 #include "common/cli.hpp"
 #include "eval/figures.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   uavcov::CliParser cli;
   cli.add_flag("users", "number of ground users n", "3000");
   cli.add_flag("s", "approAlg seed-set size", "2");
@@ -27,22 +27,21 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   uavcov::eval::FigureScale scale;
-  scale.users = static_cast<std::int32_t>(cli.get_int("users"));
-  scale.s = static_cast<std::int32_t>(cli.get_int("s"));
+  scale.users = cli.get_int("users");
+  scale.s = cli.get_int("s");
   scale.cell_side_m = cli.get_double("cell");
-  scale.candidate_cap =
-      static_cast<std::int32_t>(cli.get_int("candidate-cap"));
-  scale.repetitions = static_cast<std::int32_t>(cli.get_int("reps"));
+  scale.candidate_cap = cli.get_int("candidate-cap");
+  scale.repetitions = cli.get_int("reps");
   scale.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  scale.threads = static_cast<std::int32_t>(cli.get_int("threads"));
+  scale.threads = cli.get_int("threads");
   scale.csv_path = cli.get_string("csv");
 
   std::cout << "=== Fig. 4 reproduction: served users vs K (n = "
             << scale.users << ", s = " << scale.s << ") ===\n";
   const uavcov::Table table = uavcov::eval::fig4_served_vs_k(
-      scale, static_cast<std::int32_t>(cli.get_int("kmin")),
-      static_cast<std::int32_t>(cli.get_int("kmax")),
-      static_cast<std::int32_t>(cli.get_int("kstep")));
+      scale, cli.get_int("kmin"), cli.get_int("kmax"), cli.get_int("kstep"));
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -9,7 +9,7 @@
 #include "common/cli.hpp"
 #include "eval/figures.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   uavcov::CliParser cli;
   cli.add_flag("uavs", "fleet size K", "20");
   cli.add_flag("s", "approAlg seed-set size", "2");
@@ -26,22 +26,21 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   uavcov::eval::FigureScale scale;
-  scale.uavs = static_cast<std::int32_t>(cli.get_int("uavs"));
-  scale.s = static_cast<std::int32_t>(cli.get_int("s"));
+  scale.uavs = cli.get_int("uavs");
+  scale.s = cli.get_int("s");
   scale.cell_side_m = cli.get_double("cell");
-  scale.candidate_cap =
-      static_cast<std::int32_t>(cli.get_int("candidate-cap"));
-  scale.repetitions = static_cast<std::int32_t>(cli.get_int("reps"));
+  scale.candidate_cap = cli.get_int("candidate-cap");
+  scale.repetitions = cli.get_int("reps");
   scale.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  scale.threads = static_cast<std::int32_t>(cli.get_int("threads"));
+  scale.threads = cli.get_int("threads");
   scale.csv_path = cli.get_string("csv");
 
   std::cout << "=== Fig. 5 reproduction: served users vs n (K = "
             << scale.uavs << ", s = " << scale.s << ") ===\n";
   const uavcov::Table table = uavcov::eval::fig5_served_vs_n(
-      scale, static_cast<std::int32_t>(cli.get_int("nmin")),
-      static_cast<std::int32_t>(cli.get_int("nmax")),
-      static_cast<std::int32_t>(cli.get_int("nstep")));
+      scale, cli.get_int("nmin"), cli.get_int("nmax"), cli.get_int("nstep"));
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -9,7 +9,7 @@
 #include "common/cli.hpp"
 #include "eval/figures.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   uavcov::CliParser cli;
   cli.add_flag("users", "number of ground users n", "3000");
   cli.add_flag("uavs", "fleet size K", "20");
@@ -25,25 +25,25 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   uavcov::eval::FigureScale scale;
-  scale.users = static_cast<std::int32_t>(cli.get_int("users"));
-  scale.uavs = static_cast<std::int32_t>(cli.get_int("uavs"));
+  scale.users = cli.get_int("users");
+  scale.uavs = cli.get_int("uavs");
   scale.cell_side_m = cli.get_double("cell");
-  scale.candidate_cap =
-      static_cast<std::int32_t>(cli.get_int("candidate-cap"));
-  scale.repetitions = static_cast<std::int32_t>(cli.get_int("reps"));
+  scale.candidate_cap = cli.get_int("candidate-cap");
+  scale.repetitions = cli.get_int("reps");
   scale.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  scale.threads = static_cast<std::int32_t>(cli.get_int("threads"));
+  scale.threads = cli.get_int("threads");
   scale.csv_path = cli.get_string("csv");
 
   uavcov::Table runtime;
   std::cout << "=== Fig. 6(a) reproduction: served users vs s (n = "
             << scale.users << ", K = " << scale.uavs << ") ===\n";
   const uavcov::Table served = uavcov::eval::fig6_s_tradeoff(
-      scale, runtime, static_cast<std::int32_t>(cli.get_int("smin")),
-      static_cast<std::int32_t>(cli.get_int("smax")));
+      scale, runtime, cli.get_int("smin"), cli.get_int("smax"));
   served.print(std::cout);
   std::cout << "\n=== Fig. 6(b) reproduction: running time (seconds) vs s "
                "===\n";
   runtime.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

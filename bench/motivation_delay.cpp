@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "netsim/service_sim.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   CliParser cli;
   cli.add_flag("duration", "simulated seconds", "10");
@@ -71,4 +71,6 @@ int main(int argc, char** argv) {
   std::cout << "\n(beyond the knee the queue never drains: delays are "
                "bounded only by the simulation horizon)\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -16,7 +16,7 @@
 #include "core/appro_alg.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   if (!CliParser().parse(argc, argv)) return 0;  // takes no flags
   const Radio radio{};
@@ -86,4 +86,6 @@ int main(int argc, char** argv) {
   }
   served_table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -13,7 +13,7 @@
 #include "core/appro_alg.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   CliParser cli;
   cli.add_flag("users", "trapped users in the area", "1000");
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const double target = cli.get_double("target");
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   workload::ScenarioConfig config;
-  config.user_count = static_cast<std::int32_t>(cli.get_int("users"));
+  config.user_count = cli.get_int("users");
   // Fleet regenerated per K below; generate users once for a fair sweep.
   config.fleet.uav_count = 1;
   Scenario scenario = workload::make_disaster_scenario(config, rng);
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   table.set_header({"K", "served", "coverage %", "runtime (s)"});
   std::int32_t needed = -1;
   Rng fleet_rng(rng.fork());
-  const auto kmax = static_cast<std::int32_t>(cli.get_int("kmax"));
+  const auto kmax = cli.get_int("kmax");
   for (std::int32_t K = 2; K <= kmax; K += 2) {
     workload::FleetConfig fleet_config;
     fleet_config.uav_count = K;
@@ -71,4 +71,6 @@ int main(int argc, char** argv) {
               << "; consider more UAVs or higher-capacity base stations\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -87,7 +87,7 @@ void draw_map(const Scenario& sc, const Solution& sol) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (!CliParser().parse(argc, argv)) return 0;  // takes no flags
   const Scenario sc = build_scenario();
   const CoverageModel cov(sc);
@@ -125,4 +125,6 @@ int main(int argc, char** argv) {
               << ours.load_of(static_cast<std::int32_t>(d)) << " users\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

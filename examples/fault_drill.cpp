@@ -1,24 +1,24 @@
 // Fault drill (docs/RESILIENCE.md): deploy, lose UAVs to a seeded fault
-// plan, watch the self-healing repair controller react, and measure the
-// service-level fallout phase by phase.
+// plan, watch the stream engine patch or re-solve after each fault epoch,
+// and measure the service-level fallout phase by phase.
 //
 // Prints the single points of failure of the initial network, then a
-// per-phase timeline: which fault hit, whether repair stayed local or
-// escalated to a full approAlg re-solve, how many users stayed served,
-// and the netsim throughput over the phase.
+// per-phase timeline: which fault hit, whether the repair stayed local (a
+// patch) or escalated to a full approAlg re-solve, how many users stayed
+// served, and the netsim throughput over the phase.
 //
 //   $ ./build/examples/fault_drill [--events 4] [--seed 7] [--gateway-loss]
 #include <iostream>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/impact.hpp"
-#include "resilience/repair.hpp"
 #include "resilience/timeline.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   CliParser cli;
   cli.add_flag("users", "number of users", "400");
@@ -36,28 +36,28 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   Rng rng(seed);
   workload::ScenarioConfig config;
-  config.user_count = static_cast<std::int32_t>(cli.get_int("users"));
-  config.fleet.uav_count = static_cast<std::int32_t>(cli.get_int("uavs"));
+  config.user_count = cli.get_int("users");
+  config.fleet.uav_count = cli.get_int("uavs");
   const Scenario scenario = workload::make_disaster_scenario(config, rng);
 
   resilience::TimelineConfig timeline;
   timeline.horizon_s = 60.0 * cli.get_double("horizon-min");
-  timeline.policy.local_repair_floor = cli.get_double("floor");
+  timeline.policy.served_floor = cli.get_double("floor");
   timeline.policy.appro.s = 2;
   timeline.policy.appro.candidate_cap = 30;
   timeline.policy.appro.time_budget_s = cli.get_double("budget-ms") / 1e3;
   timeline.sim.slot_s = 0.01;
 
-  resilience::RepairController controller(scenario, timeline.policy);
-  const Solution initial = controller.deploy();
-
   resilience::FaultPlanConfig faults;
-  faults.events = static_cast<std::int32_t>(cli.get_int("events"));
+  faults.events = cli.get_int("events");
   faults.horizon_s = timeline.horizon_s;
   faults.include_gateway_loss = cli.get_bool("gateway-loss");
   const resilience::FaultPlan plan =
       resilience::make_fault_plan(scenario, faults, seed * 1000003);
 
+  const resilience::TimelineReport report =
+      resilience::run_fault_timeline(scenario, plan, timeline);
+  const Solution& initial = report.initial;
   const resilience::ImpactReport impact =
       resilience::analyze_impact(scenario, initial, plan);
   std::cout << "Initial deployment: " << initial.deployments.size()
@@ -74,9 +74,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n\n";
 
-  const resilience::TimelineReport report =
-      resilience::run_fault_timeline(scenario, initial, plan, timeline);
-
   Table table;
   table.set_header({"t (min)", "fault", "repair", "served",
                     "throughput (kb/s)"});
@@ -84,21 +81,24 @@ int main(int argc, char** argv) {
     const resilience::TimelinePhase& phase = report.phases[i];
     std::string fault = "-";
     if (i > 0) {
-      const resilience::FaultEvent& e = plan.events[i - 1];
-      fault = to_string(e.kind);
+      const stream::FaultEvent& e = plan.events[i - 1];
+      fault = stream::to_string(e.kind);
       if (e.uav.valid()) fault += " UAV " + std::to_string(e.uav.value());
     }
-    table.add_row({format_double(phase.start_s / 60.0, 1), fault,
-                   i > 0 ? to_string(phase.repair.action) : "-",
+    std::string repair = "-";
+    if (i > 0) repair = phase.full_solve ? "full_resolve" : "local";
+    table.add_row({format_double(phase.start_s / 60.0, 1), fault, repair,
                    std::to_string(phase.served),
                    format_double(phase.service.network_throughput_bps / 1e3,
                                  1)});
   }
   table.print(std::cout);
 
-  std::cout << "\nServed " << report.served_initial << " -> "
-            << report.served_final << " users; " << report.local_repairs
+  std::cout << "\nServed " << initial.served << " -> "
+            << report.phases.back().served << " users; " << report.patches
             << " local repairs, " << report.full_solves
             << " full re-solves\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

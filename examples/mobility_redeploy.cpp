@@ -13,7 +13,7 @@
 #include "workload/mobility.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   CliParser cli;
   cli.add_flag("hours", "simulated duration", "2");
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   workload::ScenarioConfig config;
-  config.user_count = static_cast<std::int32_t>(cli.get_int("users"));
+  config.user_count = cli.get_int("users");
   config.fleet.uav_count = 10;
   Scenario scenario = workload::make_disaster_scenario(config, rng);
 
@@ -66,4 +66,6 @@ int main(int argc, char** argv) {
             << format_double(mobility.total_displacement_m() / 1000.0, 1)
             << " km in total\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

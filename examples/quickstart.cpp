@@ -8,7 +8,7 @@
 #include "core/appro_alg.hpp"
 #include "workload/builder.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   if (!CliParser().parse(argc, argv)) return 0;  // takes no flags
 
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
               << "/" << scenario.fleet[dep.uav].capacity << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

@@ -47,15 +47,15 @@ int main(int argc, char** argv) {
     const io::Format format = format_name == "binary" ? io::Format::kBinary
                                                       : io::Format::kText;
     UAVCOV_CHECK_MSG(!out_path.empty(), "--out is required");
-    const long long gen_users = cli.get_int("gen-users");
+    const std::int32_t gen_users = cli.get_int("gen-users");
     UAVCOV_CHECK_MSG(in_path.empty() != (gen_users <= 0),
                      "exactly one of --in / --gen-users must be given");
 
     Scenario scenario =
         in_path.empty()
             ? workload::ScenarioBuilder()
-                  .users(static_cast<std::int32_t>(gen_users))
-                  .uavs(static_cast<std::int32_t>(cli.get_int("gen-uavs")))
+                  .users(gen_users)
+                  .uavs(cli.get_int("gen-uavs"))
                   .seed(static_cast<std::uint64_t>(cli.get_int("gen-seed")))
                   .build()
             : io::load_scenario_file(in_path);
@@ -77,6 +77,8 @@ int main(int argc, char** argv) {
                            fingerprint_hex(reloaded.fingerprint()));
       std::cout << "round trip verified: fingerprint unchanged\n";
     }
+  } catch (const std::invalid_argument& e) {
+    return config_error(argv[0], e);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -30,28 +30,26 @@ int run(const CliParser& cli) {
   scenario_config.width_m = 1500;
   scenario_config.height_m = 1500;
   scenario_config.cell_side_m = 300;
-  scenario_config.user_count = static_cast<std::int32_t>(cli.get_int("users"));
-  scenario_config.fleet.uav_count =
-      static_cast<std::int32_t>(cli.get_int("uavs"));
+  scenario_config.user_count = cli.get_int("users");
+  scenario_config.fleet.uav_count = cli.get_int("uavs");
   scenario_config.fleet.capacity_min = 15;
   scenario_config.fleet.capacity_max = 40;
   const Scenario scenario =
       workload::make_disaster_scenario(scenario_config, rng);
 
   service::MissionConfig config;
-  config.tiling.tiles_x = static_cast<std::int32_t>(cli.get_int("tiles"));
+  config.tiling.tiles_x = cli.get_int("tiles");
   config.tiling.tiles_y = config.tiling.tiles_x;
-  config.tiling.halo_cells = static_cast<std::int32_t>(cli.get_int("halo"));
+  config.tiling.halo_cells = cli.get_int("halo");
   config.appro.s = 1;
   config.appro.threads = 1;
-  config.threads = static_cast<std::int32_t>(cli.get_int("threads"));
+  config.threads = cli.get_int("threads");
   config.validate();
 
   const std::int32_t tile_count = config.tiling.tiles_x * config.tiling.tiles_y;
   service::ShardFaultConfig chaos_config;
-  chaos_config.faults = static_cast<std::int32_t>(cli.get_int("faults"));
-  chaos_config.max_poison_depth =
-      static_cast<std::int32_t>(cli.get_int("poison-depth"));
+  chaos_config.faults = cli.get_int("faults");
+  chaos_config.max_poison_depth = cli.get_int("poison-depth");
   chaos_config.include_unrecoverable = cli.get_bool("unrecoverable");
   const service::ShardFaultPlan chaos =
       service::make_shard_fault_plan(tile_count, chaos_config, seed * 9176);
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
   try {
     return run(cli);
   } catch (const std::invalid_argument& e) {
-    std::cerr << "sharded_service: " << e.what() << "\n";
-    return 2;
+    return config_error(argv[0], e);
   }
 }

@@ -17,7 +17,7 @@
 #include "stream/engine.hpp"
 #include "workload/scenario_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace uavcov;
   CliParser cli;
   cli.add_flag("users", "initial number of users", "300");
@@ -40,20 +40,16 @@ int main(int argc, char** argv) {
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   workload::ScenarioConfig config;
-  config.user_count = static_cast<std::int32_t>(cli.get_int("users"));
-  config.fleet.uav_count = static_cast<std::int32_t>(cli.get_int("uavs"));
+  config.user_count = cli.get_int("users");
+  config.fleet.uav_count = cli.get_int("uavs");
   const Scenario base = workload::make_disaster_scenario(config, rng);
 
   stream::ChurnTraceConfig trace_config;
-  trace_config.epochs = static_cast<std::int32_t>(cli.get_int("epochs"));
-  trace_config.max_arrivals_per_epoch =
-      static_cast<std::int32_t>(cli.get_int("arrivals"));
-  trace_config.max_departures_per_epoch =
-      static_cast<std::int32_t>(cli.get_int("departures"));
-  trace_config.flash_crowd_epoch =
-      static_cast<std::int32_t>(cli.get_int("flash-epoch"));
-  trace_config.flash_crowd_size =
-      static_cast<std::int32_t>(cli.get_int("flash-size"));
+  trace_config.epochs = cli.get_int("epochs");
+  trace_config.max_arrivals_per_epoch = cli.get_int("arrivals");
+  trace_config.max_departures_per_epoch = cli.get_int("departures");
+  trace_config.flash_crowd_epoch = cli.get_int("flash-epoch");
+  trace_config.flash_crowd_size = cli.get_int("flash-size");
   const stream::ChurnTrace trace =
       stream::generate_trace(base, trace_config, rng.next_u64());
 
@@ -91,4 +87,6 @@ int main(int argc, char** argv) {
             << " delta patches), final served " << engine.current().served
             << " of " << engine.ingest().live_users() << " live users.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return uavcov::config_error(argv[0], e);
 }

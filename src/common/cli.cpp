@@ -1,12 +1,19 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
 
 namespace uavcov {
+
+int config_error(const char* program, const std::invalid_argument& error) {
+  std::cerr << program << ": " << error.what() << '\n';
+  return 2;
+}
 
 void CliParser::add_flag(const std::string& name, const std::string& help,
                          const std::string& default_value) {
@@ -64,14 +71,19 @@ std::string CliParser::get_string(const std::string& name) const {
   return f.value.value_or(f.default_value);
 }
 
-long long CliParser::get_int(const std::string& name) const {
+std::int32_t CliParser::get_int(const std::string& name) const {
   const std::string s = get_string(name);
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
   if (!end || *end != '\0' || s.empty()) {
     usage_error("flag --" + name + " is not an integer: " + s);
   }
-  return v;
+  if (errno == ERANGE || v < std::numeric_limits<std::int32_t>::min() ||
+      v > std::numeric_limits<std::int32_t>::max()) {
+    usage_error("flag --" + name + " is out of range: " + s);
+  }
+  return static_cast<std::int32_t>(v);
 }
 
 double CliParser::get_double(const std::string& name) const {

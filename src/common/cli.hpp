@@ -3,18 +3,27 @@
 // Supports `--name value`, `--name=value`, and boolean `--name` forms.
 // Unknown flags are an error so typos in experiment scripts fail loudly:
 // a malformed command line (unknown flag, a token without `--`, a value
-// that does not parse as its flag's type) prints `<argv[0]>: <message>` to
-// stderr and exits the process with status 2.  Misuse by the program
-// itself (a duplicate registration, a lookup of an unregistered flag)
-// throws ContractError.
+// that does not parse as its flag's type or is out of its range) prints
+// `<argv[0]>: <message>` to stderr and exits the process with status 2.
+// A value that parses but that the library rejects (std::invalid_argument)
+// ends the same way through config_error.  Misuse by the program itself (a
+// duplicate registration, a lookup of an unregistered flag) throws
+// ContractError.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace uavcov {
+
+/// The handler of every example and bench `main` for a configuration the
+/// library rejected: prints `<program>: <message>` to stderr and returns
+/// exit status 2, the status of a malformed command line.
+int config_error(const char* program, const std::invalid_argument& error);
 
 class CliParser {
  public:
@@ -27,9 +36,10 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   /// Value of a registered flag, or its default.  The typed getters exit
-  /// with status 2 if the value does not parse.
+  /// with status 2 if the value does not parse; get_int also if it falls
+  /// outside int32.
   std::string get_string(const std::string& name) const;
-  long long get_int(const std::string& name) const;
+  std::int32_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

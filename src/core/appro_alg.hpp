@@ -71,8 +71,8 @@ struct ApproAlgParams {
   /// always evaluated and its greedy always places its first UAV, so the
   /// result is never gratuitously empty; a run whose budget never binds is
   /// bit-identical to an unbudgeted run.
-  /// Used by the resilience repair controller (docs/RESILIENCE.md) to
-  /// bound repair latency in emergency operation.
+  /// Used by the stream engine's escalations (docs/RESILIENCE.md) to
+  /// bound re-solve latency in emergency operation.
   double time_budget_s = 0.0;
 
   /// Throws std::invalid_argument on any out-of-domain field (s < 1,

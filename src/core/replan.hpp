@@ -4,7 +4,7 @@
 // A re-plan then either spends idle UAVs on empty cells next to the
 // network (fill_frontier) or keeps the connected component that serves the
 // most users (best_component).  approAlg's leftover fill, the stream patch
-// (stream/engine), local repair (resilience/repair), the mission stitcher
+// of churn and fault epochs (stream/engine), the mission stitcher
 // (service/service) and impact analysis (resilience/impact) all call these
 // two functions, so each rule has exactly one implementation.
 #pragma once
@@ -50,9 +50,9 @@ KeptComponent best_component(const Scenario& scenario,
                              const CoverageModel& coverage,
                              std::span<const Deployment> deployments);
 
-/// The threshold check of the re-plan policies (stream::StreamPolicy,
-/// resilience::RepairPolicy): throws std::invalid_argument naming `context`
-/// unless `value` is a finite fraction in (0, 1].
+/// The threshold check of the re-plan policy (stream::StreamPolicy's
+/// served_floor and max_drift_fraction): throws std::invalid_argument
+/// naming `context` unless `value` is a finite fraction in (0, 1].
 void validate_unit_threshold(const char* context, double value);
 
 }  // namespace uavcov

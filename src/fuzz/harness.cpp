@@ -21,7 +21,6 @@
 #include "io/serialize.hpp"
 #include "io/trace.hpp"
 #include "resilience/impact.hpp"
-#include "resilience/repair.hpp"
 #include "service/service.hpp"
 #include "stream/engine.hpp"
 
@@ -394,7 +393,7 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
 void run_repair_harness(const std::uint8_t* data, std::size_t size) {
   ByteReader r(data, size);
   ScenarioLimits limits;
-  limits.max_cols = 4;   // small instances keep the audited repair loop
+  limits.max_cols = 4;   // small instances keep the audited patches
   limits.max_rows = 4;   // and the full re-solve escalations fast
   limits.max_users = 14;
   limits.max_uavs = 5;
@@ -403,22 +402,20 @@ void run_repair_harness(const std::uint8_t* data, std::size_t size) {
   const CoverageModel coverage(scenario);
   const std::int32_t K = scenario.uav_count();
 
-  resilience::RepairPolicy policy;
-  policy.local_repair_floor = r.take_double(0.05, 1.0);
-  policy.escalate_on_gateway_loss = r.take_bool();
-  policy.refine_rounds = static_cast<std::int32_t>(r.take_int(0, 2));
+  stream::StreamPolicy policy;
+  policy.served_floor = r.take_double(0.05, 1.0);
   policy.appro.s = static_cast<std::int32_t>(
       r.take_int(1, std::min<std::int64_t>(2, K)));
   policy.appro.max_seed_subsets = 50;
   policy.appro.audit = true;
   if (r.take_bool()) {
-    // Sometimes bind the repair latency: the result may differ run to run
+    // Sometimes bind the re-solve latency: the result may differ run to run
     // (wall clock), but must always stay feasible — that is the contract.
     policy.appro.time_budget_s = r.take_double(1e-4, 0.05);
   }
 
-  resilience::RepairController controller(scenario, policy);
-  const Solution initial = controller.deploy();
+  stream::StreamEngine engine(scenario, policy);
+  const Solution initial = engine.step({}).solution;
   const std::int64_t ceiling = std::min<std::int64_t>(
       scenario.total_capacity(), scenario.user_count());
 
@@ -427,10 +424,10 @@ void run_repair_harness(const std::uint8_t* data, std::size_t size) {
   double now_s = 0.0;
   for (std::int64_t i = 0; i < n_events; ++i) {
     now_s += r.take_double(0.0, 50.0);
-    resilience::FaultEvent event;
+    stream::FaultEvent event;
     event.time_s = now_s;
-    event.kind = static_cast<resilience::FaultKind>(r.take_int(0, 3));
-    if (event.kind == resilience::FaultKind::kLinkDegrade) {
+    event.kind = static_cast<stream::FaultKind>(r.take_int(0, 3));
+    if (event.kind == stream::FaultKind::kLinkDegrade) {
       event.range_scale = r.take_double(0.3, 1.0);
     } else {
       // May target an already-dead UAV — the no-op path must hold too.
@@ -438,15 +435,16 @@ void run_repair_harness(const std::uint8_t* data, std::size_t size) {
     }
     plan.events.push_back(event);
 
-    const resilience::RepairOutcome outcome = controller.on_fault(event);
-    const Solution& current = controller.current();
-    require(current.served == outcome.served_after,
-            "outcome served_after disagrees with the standing solution");
+    const stream::EpochResult epoch = engine.step({}, {&event, 1});
+    require(epoch.solution.fingerprint() == engine.current().fingerprint(),
+            "epoch result disagrees with the standing solution");
+    const Solution current =
+        stream::in_base_ids(engine.ingest(), epoch.solution);
     require(current.served >= 0 && current.served <= ceiling,
             "repaired served count outside [0, capacity ceiling]");
     if (!current.deployments.empty()) {
       // Feasible for the *original* instance: degradation only removed
-      // UAVs and shrank ranges, so this must hold for every repair.
+      // UAVs and shrank ranges, so this must hold after every fault.
       validate_solution(scenario, coverage, current);
       for (const Deployment& d : current.deployments) {
         require(d.uav.valid() && d.uav.value() < K,

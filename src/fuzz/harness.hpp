@@ -56,12 +56,12 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
                                      std::size_t size);
 
 /// Fault-tolerance (docs/RESILIENCE.md): decode a scenario plus a fault
-/// plan, deploy, inject each event through the self-healing
-/// RepairController with deep audits forced on, and require every emitted
-/// solution to stay §II-C feasible for the original instance (connected,
-/// capacities respected, no stranded assignment) — graceful degradation,
-/// never an invalid network.  Also cross-checks the impact analyzer's
-/// no-repair numbers against the repaired ones.
+/// plan, deploy with the StreamEngine's first epoch, feed each fault as an
+/// epoch of its own with deep audits forced on, and require every standing
+/// solution (base-id view) to stay §II-C feasible for the original
+/// instance (connected, capacities respected, no stranded assignment) —
+/// graceful degradation, never an invalid network.  Also runs the impact
+/// analyzer's no-repair numbers over the same plan.
 void run_repair_harness(const std::uint8_t* data, std::size_t size);
 
 /// Streaming engine (docs/STREAMING.md): decode a scenario plus a churn

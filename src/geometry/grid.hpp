@@ -4,6 +4,7 @@
 // one UAV may occupy a cell.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +55,12 @@ class Grid {
   LocationId id_of(std::int32_t row, std::int32_t col) const {
     UAVCOV_DCHECK(row >= 0 && row < rows_ && col >= 0 && col < cols_);
     return LocationId{row * cols_ + col};
+  }
+
+  /// `p` clamped into the closed area [0, width] × [0, height]: where
+  /// generated and streamed positions that step outside the area land.
+  Vec2 clamp(Vec2 p) const {
+    return {std::clamp(p.x, 0.0, width_), std::clamp(p.y, 0.0, height_)};
   }
 
   /// Cell containing point `p`, or kInvalidLocation if outside the area.

@@ -10,15 +10,8 @@
 
 namespace uavcov::resilience {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kBatteryDrain: return "battery_drain";
-    case FaultKind::kLinkDegrade: return "link_degrade";
-    case FaultKind::kGatewayLoss: return "gateway_loss";
-  }
-  return "unknown";
-}
+using stream::FaultEvent;
+using stream::FaultKind;
 
 namespace {
 
@@ -47,26 +40,8 @@ void FaultPlan::validate(const Scenario& scenario) const {
                   " after " + std::to_string(prev_time) + ")");
     }
     prev_time = e.time_s;
-    if (removes_uav(e.kind)) {
-      if (!e.uav.valid() || e.uav.value() >= scenario.uav_count()) {
-        fail(i, std::string(to_string(e.kind)) + " targets UAV " +
-                    std::to_string(e.uav.value()) + " outside the fleet [0, " +
-                    std::to_string(scenario.uav_count()) + ")");
-      }
-      if (e.range_scale != 1.0) {
-        fail(i, std::string(to_string(e.kind)) +
-                    " must keep range_scale = 1.0");
-      }
-    } else {  // kLinkDegrade
-      if (e.uav.valid()) {
-        fail(i, "link_degrade is fleet-wide; uav must be invalid()");
-      }
-      if (!std::isfinite(e.range_scale) || e.range_scale <= 0.0 ||
-          e.range_scale > 1.0) {
-        fail(i, "link_degrade range_scale must be in (0, 1] (got " +
-                    std::to_string(e.range_scale) + ")");
-      }
-    }
+    const std::string what = stream::fault_error(e, scenario.uav_count());
+    if (!what.empty()) fail(i, what);
   }
 }
 

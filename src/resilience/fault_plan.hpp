@@ -5,55 +5,25 @@
 // is the norm rather than the exception — batteries deplete, airframes
 // crash, links get jammed, the backhaul gateway can go down with the
 // emergency vehicle.  A FaultPlan models one such episode as an ordered
-// event list; `analyze_impact` (impact.hpp) reports what each event would
-// cost with no reaction, and RepairController (repair.hpp) reacts to the
-// events one by one.
+// list of stream::FaultEvent; `analyze_impact` (impact.hpp) reports what
+// each event would cost with no reaction, and stream::StreamEngine reacts
+// to them one fault epoch at a time (timeline.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "stream/churn.hpp"
 
 namespace uavcov::resilience {
 
-enum class FaultKind : std::int32_t {
-  kCrash = 0,         ///< UAV lost instantly (airframe failure, collision).
-  kBatteryDrain = 1,  ///< UAV lands and leaves the network (same effect as
-                      ///< a crash at the network layer; counted apart so
-                      ///< drills can attribute losses to energy planning).
-  kLinkDegrade = 2,   ///< fleet-wide UAV-to-UAV range drops to
-                      ///< range_scale × the current range (jamming, rain
-                      ///< fade).  Cumulative across events.
-  kGatewayLoss = 3,   ///< the UAV acting as backhaul gateway is lost; the
-                      ///< network effect equals a crash, but repair policy
-                      ///< treats it as an escalation trigger (the paper's
-                      ///< Fig. 1 backhaul requirement cannot be restored
-                      ///< by local re-stitching alone).
-};
-
-const char* to_string(FaultKind kind);
-
-struct FaultEvent {
-  double time_s = 0.0;             ///< nondecreasing within a plan.
-  FaultKind kind = FaultKind::kCrash;
-  /// Target UAV (original fleet id) for kCrash / kBatteryDrain /
-  /// kGatewayLoss; must be UavId::invalid() for kLinkDegrade (fleet-wide).
-  UavId uav = UavId::invalid();
-  /// kLinkDegrade only: multiplier in (0, 1] applied to the current
-  /// UAV-to-UAV range.  Ignored (must be 1.0) for other kinds.
-  double range_scale = 1.0;
-
-  bool operator==(const FaultEvent&) const = default;
-};
-
 struct FaultPlan {
-  std::vector<FaultEvent> events;  ///< sorted by time_s, nondecreasing.
+  std::vector<stream::FaultEvent> events;  ///< sorted by time_s.
 
   /// Throws std::invalid_argument on the first malformed event: negative
-  /// or non-finite time, out-of-order times, UAV id outside the fleet,
-  /// range_scale outside (0, 1], or a kind/field combination that
-  /// contradicts the rules above.
+  /// or non-finite time, out-of-order times, or whatever
+  /// stream::fault_error reports against the scenario's fleet.
   void validate(const Scenario& scenario) const;
 
   /// FNV-1a 64-bit digest of every event (time bits, kind, uav, scale

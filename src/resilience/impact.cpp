@@ -67,8 +67,8 @@ ImpactReport analyze_impact(const Scenario& scenario,
   double built_scale = 1.0;
 
   report.events.reserve(plan.events.size());
-  for (const FaultEvent& e : plan.events) {
-    if (e.kind == FaultKind::kLinkDegrade) {
+  for (const stream::FaultEvent& e : plan.events) {
+    if (e.kind == stream::FaultKind::kLinkDegrade) {
       range_scale *= e.range_scale;
     } else {
       alive[e.uav.index()] = false;

@@ -16,7 +16,7 @@ namespace uavcov::resilience {
 /// State of the un-repaired network right after one event (cumulative:
 /// every earlier event of the plan has already been applied).
 struct EventImpact {
-  FaultEvent event;
+  stream::FaultEvent event;
   std::int32_t deployments_alive = 0;   ///< deployments still flying.
   std::int32_t components = 0;          ///< connected components among them.
   /// Deployments in the *main* component — the one whose optimal served

@@ -2,11 +2,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace uavcov::resilience {
 
 TimelineReport run_fault_timeline(const Scenario& scenario,
-                                  const Solution& initial,
                                   const FaultPlan& plan,
                                   const TimelineConfig& config) {
   plan.validate(scenario);
@@ -21,11 +21,10 @@ TimelineReport run_fault_timeline(const Scenario& scenario,
         std::to_string(config.horizon_s) + ")");
   }
 
-  RepairController controller(scenario, config.policy);
-  controller.adopt(initial);
-
+  stream::StreamEngine engine(scenario, config.policy);
   TimelineReport report;
-  report.served_initial = initial.served;
+  // Intact fleet: the materialized ids of the first epoch are base ids.
+  report.initial = engine.step({}).solution;
   report.phases.reserve(plan.events.size() + 1);
 
   double phase_start = 0.0;
@@ -35,10 +34,18 @@ TimelineReport run_fault_timeline(const Scenario& scenario,
     phase.end_s =
         i < plan.events.size() ? plan.events[i].time_s : config.horizon_s;
     if (i > 0) {
-      phase.repair = controller.on_fault(plan.events[i - 1]);
-      // (i-1 because phase i starts right after event i-1 fires.)
+      // Phase i starts right after event i-1 fires.
+      const stream::EpochResult epoch =
+          engine.step({}, {&plan.events[i - 1], 1});
+      phase.full_solve = epoch.full_solve;
+      if (epoch.full_solve) {
+        ++report.full_solves;
+      } else {
+        ++report.patches;
+      }
     }
-    const Solution& standing = controller.current();
+    const Solution standing =
+        stream::in_base_ids(engine.ingest(), engine.current());
     phase.served = standing.served;
     netsim::ServiceSimConfig sim = config.sim;
     sim.duration_s = phase.end_s - phase.start_s;
@@ -46,10 +53,6 @@ TimelineReport run_fault_timeline(const Scenario& scenario,
     phase_start = phase.end_s;
     report.phases.push_back(std::move(phase));
   }
-
-  report.served_final = controller.current().served;
-  report.local_repairs = controller.local_repairs();
-  report.full_solves = controller.full_solves();
   return report;
 }
 

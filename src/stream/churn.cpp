@@ -13,13 +13,6 @@ namespace uavcov::stream {
 
 namespace {
 
-/// Clamp a point into the closed area [0, width] x [0, height] — the same
-/// bounds MobilityModel::step keeps its walkers inside.
-Vec2 clamp_into(const Grid& grid, Vec2 p) {
-  return {std::clamp(p.x, 0.0, grid.width()),
-          std::clamp(p.y, 0.0, grid.height())};
-}
-
 /// Sorted live-uid set (a plain vector keeps the replay deterministic and
 /// satisfies the no-unordered-containers rule).
 bool contains(const std::vector<std::int64_t>& live, std::int64_t uid) {
@@ -42,6 +35,40 @@ struct LiveUser {
 };
 
 }  // namespace
+
+const char* to_string(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kCrash: return "crash";
+    case FaultKind::kBatteryDrain: return "battery_drain";
+    case FaultKind::kLinkDegrade: return "link_degrade";
+    case FaultKind::kGatewayLoss: return "gateway_loss";
+  }
+  return "unknown";
+}
+
+std::string fault_error(const FaultEvent& event, std::int32_t fleet_size) {
+  if (event.kind != FaultKind::kLinkDegrade) {
+    if (!event.uav.valid() || event.uav.value() >= fleet_size) {
+      return std::string(to_string(event.kind)) + " targets UAV " +
+             std::to_string(event.uav.value()) + " outside the fleet [0, " +
+             std::to_string(fleet_size) + ")";
+    }
+    if (event.range_scale != 1.0) {
+      return std::string(to_string(event.kind)) +
+             " must keep range_scale = 1.0";
+    }
+    return "";
+  }
+  if (event.uav.valid()) {
+    return "link_degrade is fleet-wide; uav must be invalid()";
+  }
+  if (!std::isfinite(event.range_scale) || event.range_scale <= 0.0 ||
+      event.range_scale > 1.0) {
+    return "link_degrade range_scale must be in (0, 1] (got " +
+           std::to_string(event.range_scale) + ")";
+  }
+  return "";
+}
 
 std::int64_t ChurnTrace::event_count() const {
   std::int64_t n = 0;
@@ -150,11 +177,10 @@ ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
     if (!live.empty() && r.chance(config.arrival_cluster_bias)) {
       const std::size_t anchor =
           static_cast<std::size_t>(r.next_below(live.size()));
-      return clamp_into(base.grid,
-                        {live[anchor].user.pos.x +
-                             r.normal(0.0, config.arrival_sigma_m),
-                         live[anchor].user.pos.y +
-                             r.normal(0.0, config.arrival_sigma_m)});
+      return base.grid.clamp({live[anchor].user.pos.x +
+                                  r.normal(0.0, config.arrival_sigma_m),
+                              live[anchor].user.pos.y +
+                                  r.normal(0.0, config.arrival_sigma_m)});
     }
     return Vec2{r.uniform(0.0, base.grid.width()),
                 r.uniform(0.0, base.grid.height())};
@@ -191,9 +217,9 @@ ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
       const Vec2 hotspot{rng.uniform(0.0, base.grid.width()),
                          rng.uniform(0.0, base.grid.height())};
       for (std::int32_t a = 0; a < config.flash_crowd_size; ++a) {
-        const Vec2 pos = clamp_into(
-            base.grid, {hotspot.x + rng.normal(0.0, config.flash_crowd_sigma_m),
-                        hotspot.y + rng.normal(0.0, config.flash_crowd_sigma_m)});
+        const Vec2 pos = base.grid.clamp(
+            {hotspot.x + rng.normal(0.0, config.flash_crowd_sigma_m),
+             hotspot.y + rng.normal(0.0, config.flash_crowd_sigma_m)});
         const ChurnEvent ev{ChurnKind::kArrive, next_uid++, pos,
                             config.min_rate_bps};
         epoch.events.push_back(ev);

@@ -1,12 +1,13 @@
-// Epoch-batched churn-event model for streaming coverage (docs/STREAMING.md).
+// Epoch-batched event model for streaming coverage (docs/STREAMING.md).
 //
 // Production traffic is a stream, not a snapshot: between two solver
-// invocations users arrive, leave, and move.  A ChurnTrace captures that as
-// a sequence of epochs, each a batch of events applied atomically before
-// the engine re-evaluates coverage.  Events reference users by a
-// *trace-level* uid that is never reused within a trace (the materialized
-// UserId slots are recycled by stream::Ingest; uids are the stable
-// handles).
+// invocations users arrive, leave, and move, and UAVs fail.  A ChurnTrace
+// captures the user side as a sequence of epochs, each a batch of events
+// applied atomically before the engine re-evaluates coverage.  Events
+// reference users by a *trace-level* uid that is never reused within a
+// trace (the materialized UserId slots are recycled by stream::Ingest;
+// uids are the stable handles).  UAV faults (FaultEvent) ride along with
+// an epoch and name UAVs by their id in the base fleet.
 //
 // Traces are deterministic data: seeded generation (flash-crowd surges,
 // mobility-driven drift via workload/mobility), a replayable validity
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -34,6 +36,41 @@ struct ChurnEvent {
   double min_rate_bps = 2e3;  ///< arrive only.
   bool operator==(const ChurnEvent&) const = default;
 };
+
+enum class FaultKind : std::int32_t {
+  kCrash = 0,         ///< UAV lost instantly (airframe failure, collision).
+  kBatteryDrain = 1,  ///< UAV lands and leaves the network (same effect as
+                      ///< a crash at the network layer; counted apart so
+                      ///< drills can attribute losses to energy planning).
+  kLinkDegrade = 2,   ///< fleet-wide UAV-to-UAV range drops to
+                      ///< range_scale × the current range (jamming, rain
+                      ///< fade).  Cumulative across events.
+  kGatewayLoss = 3,   ///< the UAV acting as backhaul gateway is lost; the
+                      ///< network effect equals a crash, but the engine
+                      ///< re-solves from scratch (the paper's Fig. 1
+                      ///< backhaul cannot be restored by patching alone).
+};
+
+const char* to_string(FaultKind kind);
+
+struct FaultEvent {
+  double time_s = 0.0;  ///< mission time; the engine does not read it.
+  FaultKind kind = FaultKind::kCrash;
+  /// Target UAV (base fleet id) for kCrash / kBatteryDrain / kGatewayLoss;
+  /// must be UavId::invalid() for kLinkDegrade (fleet-wide).
+  UavId uav = UavId::invalid();
+  /// kLinkDegrade only: multiplier in (0, 1] applied to the current
+  /// UAV-to-UAV range.  Must be 1.0 for the other kinds.
+  double range_scale = 1.0;
+
+  bool operator==(const FaultEvent&) const = default;
+};
+
+/// The one per-event fault check (FaultPlan::validate and Ingest::apply):
+/// why `event` is malformed against a base fleet of `fleet_size` UAVs —
+/// a UAV outside the fleet, a range_scale outside (0, 1], or a kind/field
+/// combination that contradicts the rules above — or "" if it is not.
+std::string fault_error(const FaultEvent& event, std::int32_t fleet_size);
 
 /// One batch of events; the engine sees the scenario only at epoch
 /// boundaries, so an epoch is the unit of both ingestion and re-solving.

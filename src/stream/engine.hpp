@@ -1,26 +1,30 @@
-// StreamEngine: incremental coverage maintenance over a churn stream
-// (docs/STREAMING.md).
+// StreamEngine: incremental coverage maintenance over a stream of user
+// churn and UAV faults (docs/STREAMING.md).
 //
-// Per epoch the engine ingests the event batch and then chooses between
-// two paths, the keep-or-re-solve strategy of §II-C for moving users:
+// Per epoch the engine ingests the event batch and the faults riding with
+// it, then chooses between two paths, the keep-or-re-solve strategy of
+// §II-C:
 //
-//   * delta patch — rebuild the live flow network (core/assignment's
-//     incremental add-node/rollback journal), re-deploy the standing
-//     placement against the churned user set, spend idle UAVs with the
-//     shared frontier fill (core/replan.hpp: connectivity preserved by
-//     construction), and finish with the optimal Lemma-1 assignment;
+//   * patch — drop lost UAVs and, after a fault, reconnect the mesh;
+//     re-deploy the placement on a fresh flow network (core/assignment's
+//     incremental add-node journal), spend idle UAVs with the shared
+//     frontier fill (core/replan.hpp: connectivity preserved by
+//     construction), finish with the optimal Lemma-1 assignment, and
+//     after a fault polish it with refine_solution;
 //   * full re-solve — run approAlg from scratch on the materialized
 //     scenario.
 //
 // Hysteresis decides the escalation: a patch is kept only while its served
 // count stays at or above `served_floor` x (served at the last full solve)
 // AND the cumulative structural churn (arrivals + departures) since that
-// solve stays below `max_drift_fraction` of the live population.  Both
-// thresholds go through core/replan.hpp's validate_unit_threshold.  Epochs
-// of moves alone are the paper's mobility case.
+// solve stays below `max_drift_fraction` of the live population; losing
+// the gateway always re-solves.  Both thresholds go through
+// core/replan.hpp's validate_unit_threshold.  Epochs of moves alone are
+// the paper's mobility case.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/appro_alg.hpp"
@@ -61,6 +65,13 @@ struct EpochResult {
   Solution solution;  ///< the engine's standing solution after this epoch.
 };
 
+/// The escalation's parameters: a copy of `base` whose time_budget_s is
+/// what remains after `elapsed_s` spent in the epoch.  An unbudgeted base
+/// (0) passes through unchanged; a bound budget never drops below a small
+/// floor, so the solve still evaluates at least one subset.
+ApproAlgParams with_remaining_budget(const ApproAlgParams& base,
+                                     double elapsed_s);
+
 /// The from-scratch solve used at escalation epochs: depends only on its
 /// arguments, so tests can cross-check a streamed epoch against a cold
 /// solve of the same materialized scenario.  An empty population yields
@@ -71,16 +82,18 @@ Solution solve_snapshot(const Scenario& scenario,
 
 class StreamEngine {
  public:
-  /// `base` supplies the immutable instance data (grid, fleet, channel)
-  /// and the initial population (uids [0, n) — see Ingest).  The first
+  /// `base` supplies the instance data (grid, fleet, channel) and the
+  /// initial population (uids [0, n) — see Ingest).  The first
   /// non-empty epoch always escalates to a full solve.
   StreamEngine(const Scenario& base, StreamPolicy policy);
 
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Ingests one epoch and returns the refreshed standing solution.
-  EpochResult step(const Epoch& epoch);
+  /// Ingests one epoch and its faults (Ingest::apply) and returns the
+  /// refreshed standing solution, in materialized ids.
+  EpochResult step(const Epoch& epoch,
+                   std::span<const FaultEvent> faults = {});
 
   /// Runs every epoch of `trace` in order.
   std::vector<EpochResult> run(const ChurnTrace& trace);
@@ -92,11 +105,14 @@ class StreamEngine {
   std::int32_t epochs_processed() const { return epoch_; }
 
  private:
-  Solution patch(const CoverageModel& coverage);
+  /// `standing` is the placement before the epoch, in base UAV ids;
+  /// `reshaped` says a fault removed a UAV or scaled the range.
+  Solution patch(const CoverageModel& coverage,
+                 std::span<const Deployment> standing, bool reshaped);
 
   StreamPolicy policy_;
   Ingest ingest_;
-  Graph cell_graph_;  ///< hovering-location connectivity, static per run.
+  Graph cell_graph_;  ///< hovering-location connectivity under R_uav.
   Solution solution_;
   bool has_solution_ = false;
   std::int64_t served_at_last_full_ = 0;

@@ -3,12 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
 
 namespace uavcov::workload {
 
 namespace {
+/// Flag values reach these, so a bad one is a configuration error.
+void require_dimensions(std::int32_t n, double width, double height) {
+  if (n < 0 || !(width > 0) || !(height > 0)) {
+    throw std::invalid_argument("invalid workload dimensions (n = " +
+                                std::to_string(n) + ")");
+  }
+}
+
 Vec2 clamp_to_area(Vec2 p, double width, double height) {
   return {std::clamp(p.x, 0.0, width), std::clamp(p.y, 0.0, height)};
 }
@@ -26,8 +36,7 @@ std::vector<Vec2> fat_tailed_positions(std::int32_t n, double width,
                                        double height,
                                        const FatTailedConfig& config,
                                        Rng& rng) {
-  UAVCOV_CHECK_MSG(n >= 0 && width > 0 && height > 0,
-                   "invalid workload dimensions");
+  require_dimensions(n, width, height);
   UAVCOV_CHECK_MSG(config.cluster_count >= 1, "need at least one cluster");
   UAVCOV_CHECK_MSG(
       config.background_fraction >= 0 && config.background_fraction <= 1,
@@ -66,8 +75,7 @@ std::vector<Vec2> fat_tailed_positions(std::int32_t n, double width,
 
 std::vector<Vec2> uniform_positions(std::int32_t n, double width,
                                     double height, Rng& rng) {
-  UAVCOV_CHECK_MSG(n >= 0 && width > 0 && height > 0,
-                   "invalid workload dimensions");
+  require_dimensions(n, width, height);
   std::vector<Vec2> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::int32_t i = 0; i < n; ++i) {

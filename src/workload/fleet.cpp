@@ -1,16 +1,20 @@
 #include "workload/fleet.hpp"
 
-#include "common/check.hpp"
+#include <stdexcept>
 
 namespace uavcov::workload {
 
 std::vector<UavSpec> make_fleet(const FleetConfig& config, Rng& rng) {
-  UAVCOV_CHECK_MSG(config.uav_count >= 1, "fleet needs at least one UAV");
-  UAVCOV_CHECK_MSG(1 <= config.capacity_min &&
-                       config.capacity_min <= config.capacity_max,
-                   "invalid capacity interval");
-  UAVCOV_CHECK_MSG(config.heavy_fraction >= 0 && config.heavy_fraction <= 1,
-                   "heavy fraction must be in [0, 1]");
+  // Flag values reach these, so a bad one is a configuration error.
+  if (config.uav_count < 1) {
+    throw std::invalid_argument("fleet needs at least one UAV");
+  }
+  if (config.capacity_min < 1 || config.capacity_min > config.capacity_max) {
+    throw std::invalid_argument("invalid capacity interval");
+  }
+  if (!(config.heavy_fraction >= 0 && config.heavy_fraction <= 1)) {
+    throw std::invalid_argument("heavy fraction must be in [0, 1]");
+  }
   std::vector<UavSpec> fleet;
   fleet.reserve(static_cast<std::size_t>(config.uav_count));
   for (std::int32_t k = 0; k < config.uav_count; ++k) {

@@ -1,6 +1,5 @@
 #include "workload/mobility.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -30,8 +29,7 @@ Vec2 MobilityModel::pick_waypoint(const Scenario& scenario) {
   }
   const Vec2 p{anchor.x + rng_.normal(0.0, config_.waypoint_sigma_m),
                anchor.y + rng_.normal(0.0, config_.waypoint_sigma_m)};
-  return {std::clamp(p.x, 0.0, scenario.grid.width()),
-          std::clamp(p.y, 0.0, scenario.grid.height())};
+  return scenario.grid.clamp(p);
 }
 
 void MobilityModel::step(Scenario& scenario, double dt_s) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -350,6 +351,28 @@ TEST(Cli, TypeMismatchExitsWithUsageError) {
   ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_EXIT(cli.get_int("n"), testing::ExitedWithCode(2),
               "prog: flag --n is not an integer: abc");
+}
+
+TEST(Cli, OutOfRangeIntegerExitsWithUsageError) {
+  CliParser cli;
+  cli.add_flag("users", "count", "7");
+  // 2^32 + 60 would wrap to 60 through an int32 cast.
+  const char* argv[] = {"prog", "--users", "4294967356"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EXIT(cli.get_int("users"), testing::ExitedWithCode(2),
+              "prog: flag --users is out of range: 4294967356");
+  // Past long long too: strtoll saturates and reports ERANGE.
+  const char* huge[] = {"prog", "--users", "-99999999999999999999"};
+  ASSERT_TRUE(cli.parse(3, huge));
+  EXPECT_EXIT(cli.get_int("users"), testing::ExitedWithCode(2),
+              "prog: flag --users is out of range: -99999999999999999999");
+}
+
+TEST(Cli, ConfigErrorPrintsProgramPrefixAndReturns2) {
+  // What every example's main does with a rejected configuration.
+  EXPECT_EXIT(std::exit(config_error(
+                  "prog", std::invalid_argument("fleet needs a UAV"))),
+              testing::ExitedWithCode(2), "prog: fleet needs a UAV");
 }
 
 TEST(Cli, DuplicateRegistrationThrows) {

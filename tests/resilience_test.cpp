@@ -1,6 +1,6 @@
 // Fault-tolerance acceptance suite (docs/RESILIENCE.md).  Registered with
-// UAVCOV_AUDIT=1 (tests/CMakeLists.txt), so every solution the repair
-// controller emits — mid-repair included — runs through the deep
+// UAVCOV_AUDIT=1 (tests/CMakeLists.txt), so every solution a fault epoch
+// emits — patches and re-solves alike — runs through the deep
 // analysis/audit feasibility audits.
 #include <gtest/gtest.h>
 
@@ -13,21 +13,20 @@
 #include "obs/metrics.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/impact.hpp"
-#include "resilience/repair.hpp"
 #include "resilience/timeline.hpp"
+#include "stream/engine.hpp"
 #include "workload/scenario_gen.hpp"
 
 namespace uavcov {
 namespace {
 
-using resilience::FaultEvent;
-using resilience::FaultKind;
 using resilience::FaultPlan;
 using resilience::FaultPlanConfig;
-using resilience::RepairAction;
-using resilience::RepairController;
-using resilience::RepairOutcome;
-using resilience::RepairPolicy;
+using stream::EpochResult;
+using stream::FaultEvent;
+using stream::FaultKind;
+using stream::StreamEngine;
+using stream::StreamPolicy;
 
 Scenario drill_scenario(std::uint64_t seed, std::int32_t users = 120,
                         std::int32_t uavs = 6) {
@@ -43,11 +42,22 @@ Scenario drill_scenario(std::uint64_t seed, std::int32_t users = 120,
   return workload::make_disaster_scenario(config, rng);
 }
 
-RepairPolicy drill_policy(std::int32_t threads = 1) {
-  RepairPolicy policy;
+StreamPolicy drill_policy(std::int32_t threads = 1) {
+  StreamPolicy policy;
+  policy.served_floor = 0.7;
   policy.appro.s = 2;
   policy.appro.threads = threads;
   return policy;
+}
+
+/// One fault epoch: no user churn, the single fault `event`.
+EpochResult inject(StreamEngine& engine, const FaultEvent& event) {
+  return engine.step({}, {&event, 1});
+}
+
+/// The engine's standing solution with base-fleet UAV ids.
+Solution standing(const StreamEngine& engine) {
+  return stream::in_base_ids(engine.ingest(), engine.current());
 }
 
 /// A 5-cell line topology: cells 0..4 in a row, R_uav reaches only the
@@ -187,79 +197,143 @@ TEST(Impact, LinkDegradeCanShatterTheLine) {
   EXPECT_EQ(report.events[0].main_component_size, 1);
 }
 
-// ---- Repair controller on the line -------------------------------------
+// ---- Fault epochs on the line -------------------------------------------
 
-TEST(Repair, RestitchesLineAfterInteriorLoss) {
-  const Scenario sc = line_scenario();
-  RepairPolicy policy = drill_policy();
-  policy.local_repair_floor = 0.05;  // accept any local repair: we want to
-                                     // observe the re-stitch itself
-  RepairController controller(sc, policy);
-  controller.adopt(line_solution(sc));
-
-  const RepairOutcome out =
-      controller.on_fault({10.0, FaultKind::kCrash, UavId{2}, 1.0});
-  EXPECT_EQ(out.action, RepairAction::kLocal);
-  EXPECT_EQ(out.served_before, 20);
-  // A survivor was re-tasked onto the cut cell: the mesh is whole again
-  // and only the re-tasked UAV's old cell (plus the crashed UAV's users)
-  // lost service.
-  EXPECT_GE(out.retasked, 1);
-  EXPECT_TRUE(deployments_connected(sc, controller.current().deployments));
-  EXPECT_GE(out.served_after, 12);  // >= 3 of 5 cells still served
-  EXPECT_EQ(controller.current().served, out.served_after);
-}
-
-TEST(Repair, SecondFaultOnDeadUavIsNoOp) {
-  const Scenario sc = line_scenario();
-  RepairPolicy policy = drill_policy();
-  policy.local_repair_floor = 0.05;
-  RepairController controller(sc, policy);
-  controller.adopt(line_solution(sc));
-  controller.on_fault({10.0, FaultKind::kCrash, UavId{4}, 1.0});
-  const RepairOutcome again =
-      controller.on_fault({20.0, FaultKind::kCrash, UavId{4}, 1.0});
-  EXPECT_EQ(again.action, RepairAction::kNone);
-  EXPECT_EQ(again.served_after, again.served_before);
-}
-
-TEST(Repair, SurvivesFleetExhaustion) {
-  const Scenario sc = line_scenario(/*fleet_size=*/5);
-  RepairPolicy policy = drill_policy();
-  policy.local_repair_floor = 0.05;
-  RepairController controller(sc, policy);
-  controller.adopt(line_solution(sc));
-  for (std::int32_t k = 0; k < 5; ++k) {
-    EXPECT_NO_THROW(controller.on_fault(
-        {10.0 * (k + 1), FaultKind::kCrash, UavId{k}, 1.0}));
+/// The UAV the engine's first epoch put on `cell` of the line.
+UavId uav_on(const Solution& solution, std::int32_t cell) {
+  for (const Deployment& d : solution.deployments) {
+    if (d.loc == LocationId{cell}) return d.uav;
   }
-  EXPECT_EQ(controller.alive_count(), 0);
-  EXPECT_TRUE(controller.current().deployments.empty());
-  EXPECT_EQ(controller.current().served, 0);
+  return UavId::invalid();
+}
+
+/// The line fixture's first epoch: approAlg puts one UAV on each of the 5
+/// cells and serves all 20 users.
+Solution deploy_line(StreamEngine& engine) {
+  const Solution initial = engine.step({}).solution;
+  EXPECT_EQ(initial.deployments.size(), 5u);
+  EXPECT_EQ(initial.served, 20);
+  for (std::int32_t c = 0; c < 5; ++c) {
+    EXPECT_TRUE(uav_on(initial, c).valid()) << "cell " << c;
+  }
+  return initial;
+}
+
+StreamPolicy accept_any_patch() {
+  StreamPolicy policy = drill_policy();
+  policy.served_floor = 0.05;  // accept any patch: we want to observe the
+                               // re-stitch itself
+  return policy;
+}
+
+TEST(FaultEpoch, RestitchesLineAfterInteriorLoss) {
+  const Scenario sc = line_scenario();
+  StreamEngine engine(sc, accept_any_patch());
+  const Solution initial = deploy_line(engine);
+  const UavId lost = uav_on(initial, 2);
+
+  const EpochResult out =
+      inject(engine, {10.0, FaultKind::kCrash, lost, 1.0});
+  EXPECT_FALSE(out.full_solve);
+  EXPECT_EQ(engine.ingest().scenario().uav_count(), 4);
+  // A survivor was re-tasked so the mesh is whole again; only the crashed
+  // UAV's users and the re-tasked UAV's old cell lost service.
+  const Solution view = standing(engine);
+  EXPECT_TRUE(deployments_connected(sc, view.deployments));
+  for (const Deployment& d : view.deployments) EXPECT_NE(d.uav, lost);
+  EXPECT_GE(out.solution.served, 12);  // >= 3 of 5 cells still served
+  EXPECT_EQ(engine.current().served, out.solution.served);
+}
+
+TEST(FaultEpoch, SecondFaultOnDeadUavIsNoOp) {
+  const Scenario sc = line_scenario();
+  StreamEngine engine(sc, accept_any_patch());
+  const UavId leaf = uav_on(deploy_line(engine), 4);
+  const EpochResult first =
+      inject(engine, {10.0, FaultKind::kCrash, leaf, 1.0});
+  const EpochResult again =
+      inject(engine, {20.0, FaultKind::kCrash, leaf, 1.0});
+  EXPECT_FALSE(again.full_solve);
+  EXPECT_EQ(again.scenario_fingerprint, first.scenario_fingerprint);
+  EXPECT_EQ(again.solution.served, first.solution.served);
+}
+
+TEST(FaultEpoch, SurvivesFleetExhaustion) {
+  const Scenario sc = line_scenario(/*fleet_size=*/5);
+  StreamEngine engine(sc, accept_any_patch());
+  deploy_line(engine);
+  for (std::int32_t k = 0; k < 5; ++k) {
+    EXPECT_NO_THROW(
+        inject(engine, {10.0 * (k + 1), FaultKind::kCrash, UavId{k}, 1.0}));
+  }
+  EXPECT_EQ(engine.ingest().scenario().uav_count(), 0);
+  EXPECT_TRUE(engine.current().deployments.empty());
+  EXPECT_EQ(engine.current().served, 0);
+}
+
+TEST(FaultEpoch, RejectsMalformedFaultsBeforeApplyingAnything) {
+  const Scenario sc = line_scenario();
+  StreamEngine engine(sc, accept_any_patch());
+  deploy_line(engine);
+  const std::uint64_t before = engine.ingest().scenario().fingerprint();
+  // The first fault is fine; the second names a UAV outside the fleet, so
+  // the whole epoch is rejected and the crash is not applied either.
+  const std::vector<FaultEvent> faults{
+      {1.0, FaultKind::kCrash, UavId{0}, 1.0},
+      {1.0, FaultKind::kCrash, UavId{sc.uav_count()}, 1.0}};
+  EXPECT_THROW(engine.step({}, faults), std::invalid_argument);
+  EXPECT_THROW(
+      inject(engine, {1.0, FaultKind::kLinkDegrade, UavId::invalid(), 0.0}),
+      std::invalid_argument);
+  EXPECT_EQ(engine.ingest().scenario().fingerprint(), before);
+  EXPECT_EQ(engine.ingest().live_uav(UavId{0}), UavId{0});
+}
+
+TEST(FaultEpoch, LinkDegradeMaterializesTheScaledRange) {
+  const Scenario sc = drill_scenario(34);
+  stream::Ingest ingest(sc);
+  const std::vector<FaultEvent> faults{
+      {1.0, FaultKind::kLinkDegrade, UavId::invalid(), 0.5},
+      {2.0, FaultKind::kCrash, UavId{1}, 1.0}};
+  const stream::FleetChange change = ingest.apply({}, faults);
+  EXPECT_TRUE(change.scaled_range);
+  EXPECT_TRUE(change.removed_uav);
+  EXPECT_FALSE(change.gateway_lost);
+  const Scenario& live = ingest.scenario();
+  EXPECT_EQ(live.uav_range_m, sc.uav_range_m * 0.5);
+  ASSERT_EQ(live.uav_count(), sc.uav_count() - 1);
+  for (const UavId k : live.uav_ids()) {
+    const UavId base = ingest.base_uav(k);
+    EXPECT_NE(base, UavId{1});
+    EXPECT_EQ(ingest.live_uav(base), k);
+    EXPECT_EQ(live.fleet[k].user_range_m,
+              std::min(sc.fleet[base].user_range_m, live.uav_range_m));
+  }
+  EXPECT_FALSE(ingest.live_uav(UavId{1}).valid());
 }
 
 // ---- Pinned drills: determinism, audits, retention, escalation ----------
 
-/// One full drill: deploy with `threads`, apply every event, return the
-/// step-by-step solution fingerprints plus the outcomes.
-std::pair<std::vector<std::uint64_t>, std::vector<RepairOutcome>> run_drill(
+/// One full drill: deploy with `threads`, apply every event as its own
+/// epoch, return the step-by-step base-id fingerprints plus the epochs.
+std::pair<std::vector<std::uint64_t>, std::vector<EpochResult>> run_drill(
     const Scenario& sc, const FaultPlan& plan, std::int32_t threads) {
-  RepairController controller(sc, drill_policy(threads));
-  controller.deploy();
-  std::vector<std::uint64_t> fingerprints{controller.current().fingerprint()};
-  std::vector<RepairOutcome> outcomes;
+  StreamEngine engine(sc, drill_policy(threads));
+  engine.step({});
+  std::vector<std::uint64_t> fingerprints{standing(engine).fingerprint()};
+  std::vector<EpochResult> epochs;
   for (const FaultEvent& e : plan.events) {
-    outcomes.push_back(controller.on_fault(e));
-    fingerprints.push_back(controller.current().fingerprint());
+    epochs.push_back(inject(engine, e));
+    fingerprints.push_back(standing(engine).fingerprint());
   }
-  return {std::move(fingerprints), std::move(outcomes)};
+  return {std::move(fingerprints), std::move(epochs)};
 }
 
-TEST(Repair, PinnedDrillsBitIdenticalSerialVsParallel) {
+TEST(FaultEpoch, PinnedDrillsBitIdenticalSerialVsParallel) {
   // >= 5 pinned (scenario, plan) seed pairs; every intermediate solution
   // is audited (UAVCOV_AUDIT=1 in the test environment), and the whole
-  // inject→repair trajectory must be bit-identical across thread counts
-  // (the parallel engine's DESIGN.md §7 contract extended to repair).
+  // inject→patch trajectory must be bit-identical across thread counts
+  // (the parallel engine's DESIGN.md §7 contract extended to faults).
   for (const std::uint64_t seed : {21u, 22u, 23u, 24u, 25u, 26u}) {
     const Scenario sc = drill_scenario(seed);
     FaultPlanConfig config;
@@ -272,22 +346,22 @@ TEST(Repair, PinnedDrillsBitIdenticalSerialVsParallel) {
     EXPECT_EQ(serial.first, parallel.first) << "drill seed " << seed;
     ASSERT_EQ(serial.second.size(), parallel.second.size());
     for (std::size_t i = 0; i < serial.second.size(); ++i) {
-      EXPECT_EQ(serial.second[i].action, parallel.second[i].action)
+      EXPECT_EQ(serial.second[i].full_solve, parallel.second[i].full_solve)
           << "drill seed " << seed << " event " << i;
-      EXPECT_EQ(serial.second[i].served_after,
-                parallel.second[i].served_after)
+      EXPECT_EQ(serial.second[i].solution.served,
+                parallel.second[i].solution.served)
           << "drill seed " << seed << " event " << i;
     }
   }
 }
 
-TEST(Repair, LocalRepairRetains70PercentOnNonArticulationDrills) {
-  // Crash every deployed non-articulation UAV in turn (fresh controller
-  // each time): local repair must keep >= 70% of the pre-fault served
-  // users without escalating.
+TEST(FaultEpoch, PatchRetains70PercentOnNonArticulationDrills) {
+  // Crash every deployed non-articulation UAV in turn (fresh engine each
+  // time): the patch must keep >= 70% of the pre-fault served users
+  // without escalating.
   const Scenario sc = drill_scenario(31);
-  RepairController seed_controller(sc, drill_policy());
-  const Solution initial = seed_controller.deploy();
+  StreamEngine seed_engine(sc, drill_policy());
+  const Solution initial = seed_engine.step({}).solution;
   const resilience::ImpactReport spof =
       resilience::analyze_impact(sc, initial, FaultPlan{});
   std::int32_t drills = 0;
@@ -297,92 +371,96 @@ TEST(Repair, LocalRepairRetains70PercentOnNonArticulationDrills) {
                   spof.single_points_of_failure.end(),
                   d.uav) != spof.single_points_of_failure.end();
     if (is_spof) continue;
-    RepairController controller(sc, drill_policy());
-    controller.adopt(initial);
-    const RepairOutcome out =
-        controller.on_fault({10.0, FaultKind::kCrash, d.uav, 1.0});
-    EXPECT_EQ(out.action, RepairAction::kLocal) << "uav " << d.uav.value();
-    EXPECT_GE(static_cast<double>(out.served_after),
-              0.7 * static_cast<double>(out.served_before))
+    StreamEngine engine(sc, drill_policy());
+    engine.step({});
+    const EpochResult out =
+        inject(engine, {10.0, FaultKind::kCrash, d.uav, 1.0});
+    EXPECT_FALSE(out.full_solve) << "uav " << d.uav.value();
+    EXPECT_GE(static_cast<double>(out.solution.served),
+              0.7 * static_cast<double>(initial.served))
         << "uav " << d.uav.value();
     ++drills;
   }
   EXPECT_GE(drills, 1);
 }
 
-TEST(Repair, GatewayLossEscalatesToFullResolve) {
+TEST(FaultEpoch, GatewayLossEscalatesToFullResolve) {
   const Scenario sc = drill_scenario(32);
-  RepairController controller(sc, drill_policy());
-  const Solution initial = controller.deploy();
+  StreamEngine engine(sc, drill_policy());
+  const Solution initial = engine.step({}).solution;
   ASSERT_FALSE(initial.deployments.empty());
-  const std::int32_t before_full = controller.full_solves();
-  const RepairOutcome out = controller.on_fault(
-      {10.0, FaultKind::kGatewayLoss, initial.deployments[0].uav, 1.0});
-  EXPECT_EQ(out.action, RepairAction::kFullResolve);
-  EXPECT_EQ(controller.full_solves(), before_full + 1);
+  const std::int64_t before_full = engine.full_solves();
+  const UavId gateway = initial.deployments[0].uav;
+  const EpochResult out =
+      inject(engine, {10.0, FaultKind::kGatewayLoss, gateway, 1.0});
+  EXPECT_TRUE(out.full_solve);
+  EXPECT_EQ(engine.full_solves(), before_full + 1);
   // The re-solve ran on the degraded fleet: the dead UAV must be gone.
-  for (const Deployment& d : controller.current().deployments) {
-    EXPECT_NE(d.uav, initial.deployments[0].uav);
+  for (const Deployment& d : standing(engine).deployments) {
+    EXPECT_NE(d.uav, gateway);
   }
+  // A gateway loss on a UAV that is already down changes nothing.
+  const EpochResult again =
+      inject(engine, {20.0, FaultKind::kGatewayLoss, gateway, 1.0});
+  EXPECT_FALSE(again.full_solve);
 }
 
-TEST(Repair, EscalatedResolveRespectsRemainingTimeBudget) {
-  // The policy's time_budget_s must bound the *escalated* full re-solve,
-  // not just the initial deploy: with a sub-millisecond budget the
-  // gateway-loss escalation has to stop early and report deadline_hit.
-  const Scenario sc = drill_scenario(32);
-  RepairPolicy tight = drill_policy();
-  tight.appro.time_budget_s = 1e-4;
-  RepairController controller(sc, tight);
-  const Solution initial = controller.deploy();
-  ASSERT_FALSE(initial.deployments.empty());
-  const RepairOutcome out = controller.on_fault(
-      {10.0, FaultKind::kGatewayLoss, initial.deployments[0].uav, 1.0});
-  EXPECT_EQ(out.action, RepairAction::kFullResolve);
-  EXPECT_TRUE(out.deadline_hit);
+/// stream.deadline_hits over one gateway-loss epoch after a first epoch
+/// solved under `budget_s`.
+std::int64_t deadline_hits_on_gateway_loss(const Scenario& sc,
+                                           double budget_s) {
+  StreamPolicy policy = drill_policy();
+  policy.appro.time_budget_s = budget_s;
+  StreamEngine engine(sc, policy);
+  const Solution initial = engine.step({}).solution;
+  EXPECT_FALSE(initial.deployments.empty());
+  obs::Registry& registry = obs::Registry::instance();
+  registry.reset();
+  registry.set_enabled(true);
+  const EpochResult out = inject(
+      engine, {10.0, FaultKind::kGatewayLoss, initial.deployments[0].uav, 1.0});
+  registry.set_enabled(false);
+  EXPECT_TRUE(out.full_solve);
+  return registry.snapshot().counter_value("stream.deadline_hits");
+}
 
+TEST(FaultEpoch, EscalatedResolveRespectsRemainingTimeBudget) {
+  // The policy's time_budget_s must bound the *escalated* full re-solve,
+  // not just the first epoch: with a sub-millisecond budget the
+  // gateway-loss escalation has to stop early and count a deadline hit.
+  const Scenario sc = drill_scenario(32);
+  EXPECT_EQ(deadline_hits_on_gateway_loss(sc, 1e-4), 1);
   // A generous budget never trips it — and the emitted solution is still
   // audited (UAVCOV_AUDIT=1) either way.
-  RepairPolicy roomy = drill_policy();
-  roomy.appro.time_budget_s = 1000.0;
-  RepairController relaxed(sc, roomy);
-  const Solution initial2 = relaxed.deploy();
-  ASSERT_FALSE(initial2.deployments.empty());
-  const RepairOutcome out2 = relaxed.on_fault(
-      {10.0, FaultKind::kGatewayLoss, initial2.deployments[0].uav, 1.0});
-  EXPECT_EQ(out2.action, RepairAction::kFullResolve);
-  EXPECT_FALSE(out2.deadline_hit);
+  EXPECT_EQ(deadline_hits_on_gateway_loss(sc, 1000.0), 0);
 }
 
-TEST(Repair, WithRemainingBudgetDeductsElapsedTime) {
+TEST(FaultEpoch, WithRemainingBudgetDeductsElapsedTime) {
   ApproAlgParams base;
   base.time_budget_s = 2.0;
-  EXPECT_DOUBLE_EQ(resilience::with_remaining_budget(base, 0.5).time_budget_s,
+  EXPECT_DOUBLE_EQ(stream::with_remaining_budget(base, 0.5).time_budget_s,
                    1.5);
   // Overspent budgets floor at a tiny positive value (the solve must still
   // evaluate one subset) instead of going unbudgeted or negative.
-  EXPECT_DOUBLE_EQ(resilience::with_remaining_budget(base, 5.0).time_budget_s,
+  EXPECT_DOUBLE_EQ(stream::with_remaining_budget(base, 5.0).time_budget_s,
                    1e-4);
   // Unbudgeted bases pass through bit-identical.
   ApproAlgParams unbounded;
   unbounded.time_budget_s = 0.0;
   EXPECT_DOUBLE_EQ(
-      resilience::with_remaining_budget(unbounded, 3.0).time_budget_s, 0.0);
+      stream::with_remaining_budget(unbounded, 3.0).time_budget_s, 0.0);
 }
 
-TEST(Repair, PolicyValidationShared) {
+TEST(FaultEpoch, PolicyValidationShared) {
   const Scenario sc = drill_scenario(33);
-  RepairPolicy bad = drill_policy();
-  bad.local_repair_floor = 0.0;
-  EXPECT_THROW(RepairController(sc, bad), std::invalid_argument);
-  bad.local_repair_floor = 1.5;
-  EXPECT_THROW(RepairController(sc, bad), std::invalid_argument);
-  bad = drill_policy();
-  bad.refine_rounds = -1;
-  EXPECT_THROW(RepairController(sc, bad), std::invalid_argument);
+  StreamPolicy bad = drill_policy();
+  bad.served_floor = 0.0;
+  EXPECT_THROW(StreamEngine(sc, bad), std::invalid_argument);
+  bad.served_floor = 1.5;
+  EXPECT_THROW(StreamEngine(sc, bad), std::invalid_argument);
   bad = drill_policy();
   bad.appro.time_budget_s = -1.0;
-  EXPECT_THROW(RepairController(sc, bad), std::invalid_argument);
+  EXPECT_THROW(StreamEngine(sc, bad), std::invalid_argument);
   EXPECT_THROW(validate_unit_threshold("x", 0.0), std::invalid_argument);
   EXPECT_THROW(validate_unit_threshold("x", 2.0), std::invalid_argument);
   EXPECT_NO_THROW(validate_unit_threshold("x", 1.0));
@@ -450,8 +528,8 @@ TEST(Deadline, ParamValidation) {
 
 TEST(Timeline, DrillProducesPhasesAndFiniteServiceStats) {
   const Scenario sc = drill_scenario(51, /*users=*/80, /*uavs=*/5);
-  RepairController controller(sc, drill_policy());
-  const Solution initial = controller.deploy();
+  StreamEngine engine(sc, drill_policy());
+  const Solution initial = engine.step({}).solution;
 
   FaultPlan plan;
   const UavId victim = initial.deployments.empty()
@@ -469,11 +547,12 @@ TEST(Timeline, DrillProducesPhasesAndFiniteServiceStats) {
   config.policy = drill_policy();
   config.sim.slot_s = 0.01;  // coarse slots keep the suite fast
   const resilience::TimelineReport report =
-      resilience::run_fault_timeline(sc, initial, plan, config);
+      resilience::run_fault_timeline(sc, plan, config);
 
   ASSERT_EQ(report.phases.size(), plan.events.size() + 1);
-  EXPECT_EQ(report.served_initial, initial.served);
-  EXPECT_EQ(report.phases.front().repair.action, RepairAction::kNone);
+  EXPECT_EQ(report.initial.fingerprint(), initial.fingerprint());
+  EXPECT_EQ(report.phases.front().served, initial.served);
+  EXPECT_FALSE(report.phases.front().full_solve);
   double previous_end = 0.0;
   for (const resilience::TimelinePhase& phase : report.phases) {
     EXPECT_EQ(phase.start_s, previous_end);
@@ -484,34 +563,34 @@ TEST(Timeline, DrillProducesPhasesAndFiniteServiceStats) {
   }
   EXPECT_EQ(report.phases.back().end_s, config.horizon_s);
   EXPECT_EQ(report.phases[2].end_s, report.phases[2].start_s);  // zero-length
-  EXPECT_EQ(report.served_final, report.phases.back().served);
-  EXPECT_GE(report.local_repairs + report.full_solves, 1);
+  EXPECT_EQ(report.patches + report.full_solves, 3);
 }
 
-TEST(Metrics, RepairCountersRecorded) {
+TEST(Metrics, FaultEpochCountersRecorded) {
   obs::Registry& registry = obs::Registry::instance();
   registry.reset();
   registry.set_enabled(true);
 
   const Scenario sc = drill_scenario(52, /*users=*/80, /*uavs=*/5);
-  RepairController controller(sc, drill_policy());
-  const Solution initial = controller.deploy();
+  StreamEngine engine(sc, drill_policy());
+  const Solution initial = engine.step({}).solution;
   ASSERT_FALSE(initial.deployments.empty());
-  controller.on_fault({10.0, FaultKind::kCrash, initial.deployments[0].uav,
-                       1.0});
-  controller.on_fault({20.0, FaultKind::kLinkDegrade, UavId::invalid(),
-                       0.95});
+  inject(engine, {10.0, FaultKind::kCrash, initial.deployments[0].uav, 1.0});
+  inject(engine, {20.0, FaultKind::kLinkDegrade, UavId::invalid(), 0.95});
 
   registry.set_enabled(false);
   const obs::Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter_value("resilience.faults.crash"), 1);
-  EXPECT_EQ(snap.counter_value("resilience.faults.link"), 1);
-  EXPECT_EQ(snap.counter_value("resilience.repairs.local") +
-                snap.counter_value("resilience.repairs.full"),
-            2);
-  const obs::SnapshotEntry* latency = snap.find("resilience.repair.seconds");
+  EXPECT_EQ(snap.counter_value("stream.events.crash"), 1);
+  EXPECT_EQ(snap.counter_value("stream.events.link"), 1);
+  EXPECT_EQ(snap.counter_value("stream.events.battery"), 0);
+  EXPECT_EQ(snap.counter_value("stream.events.gateway"), 0);
+  // The first epoch is the initial full solve; each fault is one more.
+  EXPECT_EQ(snap.counter_value("stream.patches") +
+                snap.counter_value("stream.full_solves"),
+            3);
+  const obs::SnapshotEntry* latency = snap.find("stream.epoch_seconds");
   ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->hist.count, 2);
+  EXPECT_EQ(latency->hist.count, 3);
 }
 
 }  // namespace

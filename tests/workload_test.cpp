@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "workload/builder.hpp"
@@ -151,10 +152,10 @@ TEST(Fleet, RejectsBadConfig) {
   FleetConfig config;
   config.capacity_min = 10;
   config.capacity_max = 5;
-  EXPECT_THROW(make_fleet(config, rng), ContractError);
+  EXPECT_THROW(make_fleet(config, rng), std::invalid_argument);
   config = {};
   config.uav_count = 0;
-  EXPECT_THROW(make_fleet(config, rng), ContractError);
+  EXPECT_THROW(make_fleet(config, rng), std::invalid_argument);
 }
 
 TEST(ScenarioGen, ProducesValidScenario) {

@@ -5,7 +5,11 @@
 // degrades.  Prints a timeline of served users and re-solve events.
 //
 //   $ ./build/examples/mobility_redeploy [--hours 2] [--threshold 0.9]
+#include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -24,6 +28,26 @@ int main(int argc, char** argv) try {
   cli.add_flag("seed", "RNG seed", "77");
   if (!cli.parse(argc, argv)) return 0;
 
+  // A duration the tick loop cannot run is a configuration error: the step
+  // must be a positive, finite number of seconds, and both the minute
+  // stamps of the table and the tick counter must stay inside int32.
+  constexpr double kInt32Max = std::numeric_limits<std::int32_t>::max();
+  const double step_s = 60.0 * cli.get_double("step-min");
+  const double hours = cli.get_double("hours");
+  if (!std::isfinite(step_s) || step_s <= 0.0) {
+    throw std::invalid_argument("--step-min must be finite and > 0");
+  }
+  if (!std::isfinite(hours) || hours < 0.0 || hours * 60.0 > kInt32Max) {
+    throw std::invalid_argument(
+        "--hours must be finite, >= 0 and at most 2^31 - 1 minutes");
+  }
+  const double tick_count = hours * 3600.0 / step_s;
+  if (tick_count >= kInt32Max) {
+    throw std::invalid_argument(
+        "--hours / --step-min asks for 2^31 - 1 or more control ticks");
+  }
+  const auto ticks = static_cast<std::int32_t>(tick_count);
+
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   workload::ScenarioConfig config;
   config.user_count = cli.get_int("users");
@@ -37,10 +61,6 @@ int main(int argc, char** argv) try {
   stream::StreamEngine engine(scenario, policy);
 
   workload::MobilityModel mobility(scenario, {}, /*seed=*/rng.next_u64());
-
-  const double step_s = 60.0 * cli.get_double("step-min");
-  const auto ticks = static_cast<std::int32_t>(
-      cli.get_double("hours") * 3600.0 / step_s);
 
   Table table;
   table.set_header({"t (min)", "served", "resolved?"});

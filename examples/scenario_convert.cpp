@@ -15,6 +15,7 @@
 // fingerprint matches the input's — the bit-exactness contract the two
 // formats share.
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/check.hpp"
@@ -41,15 +42,18 @@ int main(int argc, char** argv) {
     const std::string in_path = cli.get_string("in");
     const std::string out_path = cli.get_string("out");
     const std::string format_name = cli.get_string("format");
-    UAVCOV_CHECK_MSG(format_name == "text" || format_name == "binary",
-                     "--format must be 'text' or 'binary', got '" +
-                         format_name + "'");
+    if (format_name != "text" && format_name != "binary") {
+      throw std::invalid_argument(
+          "--format must be 'text' or 'binary', got '" + format_name + "'");
+    }
     const io::Format format = format_name == "binary" ? io::Format::kBinary
                                                       : io::Format::kText;
-    UAVCOV_CHECK_MSG(!out_path.empty(), "--out is required");
+    if (out_path.empty()) throw std::invalid_argument("--out is required");
     const std::int32_t gen_users = cli.get_int("gen-users");
-    UAVCOV_CHECK_MSG(in_path.empty() != (gen_users <= 0),
-                     "exactly one of --in / --gen-users must be given");
+    if (in_path.empty() == (gen_users <= 0)) {
+      throw std::invalid_argument(
+          "exactly one of --in / --gen-users must be given");
+    }
 
     Scenario scenario =
         in_path.empty()

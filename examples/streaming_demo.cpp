@@ -3,17 +3,13 @@
 // the standing placement alive with incremental delta patches and
 // escalates to a full approAlg re-solve only when the hysteresis trips
 // (served-ratio floor or structural-churn drift).  Prints a per-epoch
-// timeline plus the patch/full-solve split, and can persist the generated
-// trace for replay.
+// timeline plus the patch/full-solve split.
 //
 //   $ ./build/examples/streaming_demo [--epochs 12] [--flash-epoch 6]
-//                                     [--save-trace trace.txt]
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "common/fingerprint.hpp"
 #include "common/table.hpp"
-#include "io/trace.hpp"
 #include "stream/engine.hpp"
 #include "workload/scenario_gen.hpp"
 
@@ -34,8 +30,6 @@ int main(int argc, char** argv) try {
                "last full solve exceed this fraction of the population",
                "0.5");
   cli.add_flag("seed", "RNG seed", "42");
-  cli.add_flag("save-trace", "write the generated trace here (text, or "
-               ".bin for binary)", "");
   if (!cli.parse(argc, argv)) return 0;
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
@@ -52,16 +46,6 @@ int main(int argc, char** argv) try {
   trace_config.flash_crowd_size = cli.get_int("flash-size");
   const stream::ChurnTrace trace =
       stream::generate_trace(base, trace_config, rng.next_u64());
-
-  const std::string trace_path = cli.get_string("save-trace");
-  if (!trace_path.empty()) {
-    const bool binary = trace_path.size() > 4 &&
-                        trace_path.substr(trace_path.size() - 4) == ".bin";
-    io::save_trace_file(trace_path, trace,
-                        binary ? io::Format::kBinary : io::Format::kText);
-    std::cout << "Trace " << fingerprint_hex(trace.fingerprint())
-              << " written to " << trace_path << "\n\n";
-  }
 
   stream::StreamPolicy policy;
   policy.served_floor = cli.get_double("served-floor");

@@ -1,11 +1,9 @@
 #include "fuzz/harness.hpp"
 
 #include <array>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "analysis/audit.hpp"
@@ -19,7 +17,6 @@
 #include "fuzz/scenario_decoder.hpp"
 #include "fuzz/stream_decoder.hpp"
 #include "io/serialize.hpp"
-#include "io/trace.hpp"
 #include "resilience/impact.hpp"
 #include "service/service.hpp"
 #include "stream/engine.hpp"
@@ -104,27 +101,18 @@ void check_solutions_identical(const Solution& a, const Solution& b) {
           "serial/parallel assignment mismatch");
 }
 
-template <typename T>
-std::string serialized(const T& value, io::Format format) {
+std::string serialized(const Scenario& scenario, io::Format format) {
   std::ostringstream out;
-  if constexpr (std::is_same_v<T, Scenario>) {
-    io::save_scenario(out, value, format);
-  } else if constexpr (std::is_same_v<T, stream::ChurnTrace>) {
-    io::save_trace(out, value, format);
-  } else {
-    io::save_solution(out, value, format);
-  }
+  io::save_scenario(out, scenario, format);
   return out.str();
 }
 
-template <typename T>
-std::string to_text(const T& value) {
-  return serialized(value, io::Format::kText);
+std::string to_text(const Scenario& scenario) {
+  return serialized(scenario, io::Format::kText);
 }
 
-template <typename T>
-std::string to_binary(const T& value) {
-  return serialized(value, io::Format::kBinary);
+std::string to_binary(const Scenario& scenario) {
+  return serialized(scenario, io::Format::kBinary);
 }
 
 }  // namespace
@@ -267,9 +255,10 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
                                      std::size_t size) {
   ByteReader r(data, size);
   if (r.take_bool()) {
-    // Raw mode: arbitrary bytes through every parser.  Success or a
-    // documented error type are both fine; UB, crashes, and unexpected
-    // exception types are what the sanitizers + this catch list reject.
+    // Raw mode: arbitrary bytes through the scenario and CSV parsers.
+    // Success or a documented error type are both fine; UB, crashes, and
+    // unexpected exception types are what the sanitizers + this catch list
+    // reject.
     const std::string text = r.take_rest_as_string();
     try {
       // load_scenario sniffs the magic, so raw bytes starting with
@@ -289,35 +278,14 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
     } catch (const std::invalid_argument&) {
     }
     try {
-      std::istringstream in(text);
-      (void)io::load_solution(in, /*user_count=*/16);
-    } catch (const ContractError&) {
-    } catch (const std::invalid_argument&) {
-    }
-    // load_trace sniffs "UAVCTRC1" the same way.  Only the raw parse may
-    // reject: a trace that parsed must re-save to a fixed point in both
-    // formats, so a re-load failure escapes as a harness failure.
-    std::optional<stream::ChurnTrace> trace;
-    try {
-      trace = io::load_trace(std::string_view(text));
-    } catch (const ContractError&) {
-    }
-    for (const io::Format format : {io::Format::kText, io::Format::kBinary}) {
-      if (!trace) break;
-      const std::string saved = serialized(*trace, format);
-      require(serialized(io::load_trace(std::string_view(saved)), format) ==
-                  saved,
-              "re-serialized trace is not a fixed point");
-    }
-    try {
       (void)parse_csv_row(text);
     } catch (const std::invalid_argument&) {
     }
     return;
   }
 
-  // Structured mode: a valid scenario/solution pair must round-trip to the
-  // exact same bytes (the format writes max_digits10 floats).
+  // Structured mode: a valid scenario must round-trip to the exact same
+  // bytes (the format writes max_digits10 floats).
   ScenarioLimits limits;
   const Scenario scenario = decode_scenario(r, limits);
   const std::string text = to_text(scenario);
@@ -345,34 +313,6 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
           "binary scenario round trip is not byte-exact");
   require(bin_loaded.fingerprint() == loaded.fingerprint(),
           "text/binary scenario fingerprints diverge");
-
-  const CoverageModel coverage(scenario);
-  const std::vector<Deployment> deployments =
-      decode_deployments(r, scenario, 4);
-  const AssignmentResult assignment =
-      solve_assignment(scenario, coverage, deployments);
-  Solution solution;
-  solution.algorithm = "fuzz";
-  solution.deployments = deployments;
-  solution.user_to_deployment = assignment.user_to_deployment;
-  solution.served = assignment.served;
-  solution.solve_seconds = r.take_double(0.0, 100.0);
-  const std::string sol_text = to_text(solution);
-  const Solution sol_loaded =
-      io::load_solution(std::string_view(sol_text), scenario.user_count());
-  require(to_text(sol_loaded) == sol_text,
-          "solution round trip is not bit-exact");
-  require(sol_loaded.served == solution.served &&
-              sol_loaded.deployments == solution.deployments &&
-              sol_loaded.user_to_deployment == solution.user_to_deployment,
-          "loaded solution differs from the saved one");
-  const std::string sol_binary = to_binary(solution);
-  const Solution sol_bin_loaded =
-      io::load_solution(std::string_view(sol_binary), scenario.user_count());
-  require(to_binary(sol_bin_loaded) == sol_binary,
-          "binary solution round trip is not byte-exact");
-  require(sol_bin_loaded.fingerprint() == sol_loaded.fingerprint(),
-          "text/binary solution fingerprints diverge");
 
   // CSV quoting must invert through the parser for arbitrary cell bytes.
   const char palette[] = {'a', 'B', '7', ',', '"', '\n', '\r', ' '};

@@ -47,11 +47,11 @@ void run_appro_alg_harness(const std::uint8_t* data, std::size_t size);
 /// Theorem 1 ratio's domain behavior.
 void run_segment_plan_harness(const std::uint8_t* data, std::size_t size);
 
-/// Serialization: decode(encode(x)) == x bit-exactly for scenarios and
-/// solutions, CSV quote/parse inversion, and — on raw byte inputs — the
-/// scenario, solution and trace parsers must either succeed or throw a
-/// documented error type, never crash; a scenario or trace that parsed
-/// must re-save to a fixed point in both formats.
+/// Serialization: decode(encode(x)) == x bit-exactly for scenarios in both
+/// formats, CSV quote/parse inversion, and — on raw byte inputs — the
+/// scenario parser (text and binary) must either succeed or throw a
+/// documented error type, never crash; a scenario that parsed must re-save
+/// to a fixed point in both formats.
 void run_serialize_roundtrip_harness(const std::uint8_t* data,
                                      std::size_t size);
 

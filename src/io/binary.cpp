@@ -17,12 +17,11 @@ namespace {
 using codec::Document;
 using codec::get_u32;
 using codec::get_u64;
-using codec::Kind;
 using codec::put_u32;
 using codec::put_u64;
 using codec::Section;
 
-// Scenario section ids.
+// Section ids.
 constexpr std::uint32_t kSecGeometry = 1;   // width,height,cell,alt,range.
 constexpr std::uint32_t kSecChannel = 2;    // carrier,a,b,eta_los,eta_nlos.
 constexpr std::uint32_t kSecReceiver = 3;   // noise,bandwidth.
@@ -33,13 +32,6 @@ constexpr std::uint32_t kSecUavCapacity = 7;
 constexpr std::uint32_t kSecUavTx = 8;
 constexpr std::uint32_t kSecUavGain = 9;
 constexpr std::uint32_t kSecUavRange = 10;
-
-// Solution section ids.
-constexpr std::uint32_t kSecAlgorithm = 1;
-constexpr std::uint32_t kSecMeta = 2;       // served i64, solve_seconds f64.
-constexpr std::uint32_t kSecDeployUav = 3;
-constexpr std::uint32_t kSecDeployLoc = 4;
-constexpr std::uint32_t kSecAssignment = 5;
 
 constexpr bool kHostLittleEndian = std::endian::native == std::endian::little;
 
@@ -66,10 +58,6 @@ void append_column(Payload& out, const T* data, std::size_t count) {
 
 void append_double(Payload& out, double v) { append_column(out, &v, 1); }
 
-const std::uint8_t* raw_bytes(std::string_view bytes) {
-  return reinterpret_cast<const std::uint8_t*>(bytes.data());
-}
-
 /// Section `id` decoded as a little-endian column of 4- or 8-byte values.
 template <typename T>
 std::vector<T> read_column(const Document& doc, std::uint32_t id,
@@ -84,7 +72,8 @@ std::vector<T> read_column(const Document& doc, std::uint32_t id,
     if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   } else {
     for (std::size_t i = 0; i < out.size(); ++i) {
-      const std::uint8_t* p = raw_bytes(bytes) + i * sizeof(T);
+      const std::uint8_t* p =
+          reinterpret_cast<const std::uint8_t*>(bytes.data()) + i * sizeof(T);
       if constexpr (sizeof(T) == 8) {
         out[i] = std::bit_cast<T>(get_u64(p));
       } else {
@@ -175,11 +164,11 @@ void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
   append_column(uav_range.bytes, range.data(), K);
   sections.push_back(std::move(uav_range));
 
-  codec::write_document(out, Kind::kScenario, sections);
+  codec::write_document(out, sections);
 }
 
 Scenario load_scenario_binary(std::string_view bytes) {
-  const Document doc(bytes, Kind::kScenario, kSecUavRange);
+  const Document doc(bytes, kSecUavRange);
   const std::vector<double> geometry =
       read_fixed_doubles(doc, kSecGeometry, "geometry", 5);
   const std::vector<double> channel =
@@ -233,95 +222,6 @@ Scenario load_scenario_binary(std::string_view bytes) {
 
 Scenario load_scenario_binary(std::istream& in) {
   return load_scenario_binary(std::string_view(codec::slurp(in)));
-}
-
-void save_solution_binary(std::ostream& out, const Solution& solution) {
-  std::vector<Section> sections;
-  sections.reserve(5);
-
-  Section algorithm{kSecAlgorithm, {}};
-  algorithm.bytes.assign(solution.algorithm.begin(), solution.algorithm.end());
-  sections.push_back(std::move(algorithm));
-
-  Section meta{kSecMeta, {}};
-  meta.bytes.resize(8);
-  put_u64(meta.bytes.data(),
-          static_cast<std::uint64_t>(solution.served));
-  append_double(meta.bytes, solution.solve_seconds);
-  sections.push_back(std::move(meta));
-
-  const std::size_t deployment_count = solution.deployments.size();
-  std::vector<std::int32_t> uav(deployment_count);
-  std::vector<std::int32_t> loc(deployment_count);
-  for (std::size_t d = 0; d < deployment_count; ++d) {
-    uav[d] = solution.deployments[d].uav.value();
-    loc[d] = solution.deployments[d].loc.value();
-  }
-  Section deploy_uav{kSecDeployUav, {}};
-  append_column(deploy_uav.bytes, uav.data(), deployment_count);
-  sections.push_back(std::move(deploy_uav));
-  Section deploy_loc{kSecDeployLoc, {}};
-  append_column(deploy_loc.bytes, loc.data(), deployment_count);
-  sections.push_back(std::move(deploy_loc));
-
-  Section assignment{kSecAssignment, {}};
-  append_column(assignment.bytes, solution.user_to_deployment.data(),
-              solution.user_to_deployment.size());
-  sections.push_back(std::move(assignment));
-
-  codec::write_document(out, Kind::kSolution, sections);
-}
-
-Solution load_solution_binary(std::string_view bytes,
-                              std::int32_t user_count) {
-  UAVCOV_CHECK_MSG(user_count >= 0, "user count must be nonnegative");
-  const Document doc(bytes, Kind::kSolution, kSecAssignment);
-  const std::string_view algorithm = doc.section(kSecAlgorithm, "algorithm");
-  const std::string_view meta = doc.section(kSecMeta, "meta");
-  UAVCOV_CHECK_MSG(meta.size() == 16,
-                   "binary solution section meta: expected 16 bytes, got " +
-                       std::to_string(meta.size()));
-  const auto uav = read_column<std::int32_t>(doc, kSecDeployUav, "deploy_uav");
-  const auto loc = read_column<std::int32_t>(doc, kSecDeployLoc, "deploy_loc");
-  const auto assignment =
-      read_column<std::int32_t>(doc, kSecAssignment, "assignment");
-  UAVCOV_CHECK_MSG(uav.size() == loc.size(),
-                   "binary solution: deployment column lengths differ");
-  UAVCOV_CHECK_MSG(
-      assignment.size() == static_cast<std::size_t>(user_count),
-      "binary solution: assignment column has " +
-          std::to_string(assignment.size()) + " users, expected " +
-          std::to_string(user_count));
-
-  Solution solution;
-  solution.algorithm.assign(algorithm.begin(), algorithm.end());
-  solution.served = static_cast<std::int64_t>(get_u64(raw_bytes(meta)));
-  UAVCOV_CHECK_MSG(solution.served >= 0, "served must be nonnegative");
-  solution.solve_seconds = std::bit_cast<double>(get_u64(raw_bytes(meta) + 8));
-
-  const auto deployment_count = static_cast<std::int32_t>(uav.size());
-  solution.deployments.reserve(uav.size());
-  for (std::size_t d = 0; d < uav.size(); ++d) {
-    const Deployment dep{UavId{uav[d]}, LocationId{loc[d]}};
-    UAVCOV_CHECK_MSG(dep.uav.valid(),
-                     "deployment UAV id must be nonnegative");
-    UAVCOV_CHECK_MSG(dep.loc.valid(),
-                     "deployment location must be nonnegative");
-    solution.deployments.push_back(dep);
-  }
-  solution.user_to_deployment = assignment;
-  for (const UserId u : solution.user_to_deployment.ids()) {
-    const std::int32_t dep = solution.user_to_deployment[u];
-    UAVCOV_CHECK_MSG(dep >= -1 && dep < deployment_count,
-                     "assignment for user " + std::to_string(u.value()) +
-                         " references nonexistent deployment " +
-                         std::to_string(dep));
-  }
-  return solution;
-}
-
-Solution load_solution_binary(std::istream& in, std::int32_t user_count) {
-  return load_solution_binary(std::string_view(codec::slurp(in)), user_count);
 }
 
 }  // namespace uavcov::io

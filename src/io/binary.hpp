@@ -1,22 +1,21 @@
-// Versioned binary persistence for scenarios and solutions — the
-// million-user load path.
+// Versioned binary persistence for scenarios — the million-user load
+// path.
 //
 // The text format (io/serialize.hpp) parses one record per line, which is
 // the right tool for diffable fixtures but costs a strtod per field; at
 // 10^6+ users load time dominates before the solver starts.  The binary
 // format is column-oriented and validated, then loaded with bulk copies:
 //
-//   header   magic[8] ("UAVCBIN1" scenario / "UAVCSOL1" solution)
+//   header   magic[8] ("UAVCBIN1")
 //            u32 schema version (currently 1)   u32 section count
 //            u64 total file size
 //   table    per section: u32 id, u32 reserved(0), u64 payload offset,
 //            u64 payload size, u64 FNV-1a checksum of the payload bytes
 //   payload  8-byte-aligned little-endian sections (zero-padded between)
 //
-// Scenario sections are the SoA columns (user x / y / min-rate arrays, UAV
+// The sections are the SoA columns (user x / y / min-rate arrays, UAV
 // capacity / tx / gain / range arrays) plus fixed-size geometry / channel /
-// receiver blocks; solution sections are the deployment and assignment
-// id arrays.  A loader reads the whole stream once, verifies magic,
+// receiver blocks.  A loader reads the whole stream once, verifies magic,
 // version, table bounds, and every checksum, then reconstructs the arrays
 // with memcpy on little-endian hosts (per-element decode otherwise) — zero
 // per-record parsing.  Save → load → save is byte-identical and a
@@ -39,12 +38,10 @@
 #include <string_view>
 
 #include "core/scenario.hpp"
-#include "core/solution.hpp"
 
 namespace uavcov::io {
 
 inline constexpr std::string_view kBinaryScenarioMagic = "UAVCBIN1";
-inline constexpr std::string_view kBinarySolutionMagic = "UAVCSOL1";
 inline constexpr std::uint32_t kBinaryFormatVersion = 1;
 
 void save_scenario_binary(std::ostream& out, const Scenario& scenario);
@@ -59,14 +56,5 @@ void save_scenario_binary(std::ostream& out, const Scenario& scenario);
 Scenario load_scenario_binary(std::istream& in);
 /// Same, from an in-memory image (the single large read already done).
 Scenario load_scenario_binary(std::string_view bytes);
-
-void save_solution_binary(std::ostream& out, const Solution& solution);
-
-/// Loads a binary solution; `user_count` must match the assignment
-/// column's length.  Performs the same referential-integrity checks as the
-/// text loader (ids in range, no assignment to a nonexistent deployment).
-Solution load_solution_binary(std::istream& in, std::int32_t user_count);
-Solution load_solution_binary(std::string_view bytes,
-                              std::int32_t user_count);
 
 }  // namespace uavcov::io

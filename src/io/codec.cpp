@@ -1,6 +1,5 @@
 #include "io/codec.hpp"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -11,14 +10,13 @@
 
 #include "common/fingerprint.hpp"
 #include "io/binary.hpp"
-#include "io/trace.hpp"
 
 namespace uavcov::io::codec {
 
 namespace {
 
 // Binary io metrics (docs/OBSERVABILITY.md), counted here for every
-// binary document.  Counters only carry deterministic values (call and
+// binary scenario.  Counters only carry deterministic values (call and
 // byte counts), so the bench identity gate can compare them exactly.
 struct BinaryIoMetrics {
   obs::Counter loads = obs::counter("io.binary.loads");
@@ -33,24 +31,7 @@ const BinaryIoMetrics& binary_metrics() {
   return metrics;
 }
 
-/// The one magic table, indexed by Kind: the binary magic that opens a
-/// kind's binary files and the keyword of its text header.
-struct KindInfo {
-  const char* name;
-  std::string_view magic;
-  const char* text_magic;
-};
-
-constexpr std::array<KindInfo, 3> kKinds = {{
-    {"scenario", kBinaryScenarioMagic, "uavcov-scenario"},
-    {"solution", kBinarySolutionMagic, "uavcov-solution"},
-    {"trace", kBinaryTraceMagic, "uavcov-trace"},
-}};
-
-const KindInfo& info(Kind kind) {
-  return kKinds[static_cast<std::size_t>(kind)];
-}
-
+constexpr const char* kTextMagic = "uavcov-scenario";
 constexpr std::size_t kMagicBytes = 8;
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + count + size.
 constexpr std::size_t kEntryBytes = 32;   // id + reserved + off + size + sum.
@@ -90,24 +71,13 @@ std::string slurp(std::istream& in) {
   return data;
 }
 
-bool sniff_binary(std::string_view bytes, Kind kind) {
-  const KindInfo& expected = info(kind);
-  for (const KindInfo& other : kKinds) {
-    UAVCOV_CHECK_MSG(&other == &expected || !bytes.starts_with(other.magic),
-                     std::string("input is a binary uavcov ") + other.name +
-                         ", not a " + expected.name + " (magic " +
-                         std::string(other.magic) + ")");
-  }
-  return bytes.starts_with(expected.magic);
-}
-
-void write_text_header(std::ostream& out, Kind kind) {
+void write_text_header(std::ostream& out) {
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << info(kind).text_magic << " v1\n";
+  out << kTextMagic << " v1\n";
 }
 
-void expect_text_header(std::istream& in, Kind kind) {
-  const std::string magic = info(kind).text_magic;
+void expect_text_header(std::istream& in) {
+  const std::string magic = kTextMagic;
   std::string line;
   UAVCOV_CHECK_MSG(next_record(in, line), "empty input, expected " + magic);
   Record r = parse_record(line);
@@ -171,8 +141,7 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-void write_document(std::ostream& out, Kind kind,
-                    const std::vector<Section>& sections) {
+void write_document(std::ostream& out, const std::vector<Section>& sections) {
   std::size_t at = align_up(kHeaderBytes + sections.size() * kEntryBytes);
   std::vector<std::size_t> offsets;
   offsets.reserve(sections.size());
@@ -186,7 +155,7 @@ void write_document(std::ostream& out, Kind kind,
           ? kHeaderBytes
           : offsets.back() + sections.back().bytes.size();
   std::vector<std::uint8_t> file(total, 0);
-  std::memcpy(file.data(), info(kind).magic.data(), kMagicBytes);
+  std::memcpy(file.data(), kBinaryScenarioMagic.data(), kMagicBytes);
   put_u32(file.data() + 8, kBinaryFormatVersion);
   put_u32(file.data() + 12, static_cast<std::uint32_t>(sections.size()));
   put_u64(file.data() + 16, static_cast<std::uint64_t>(total));
@@ -206,20 +175,19 @@ void write_document(std::ostream& out, Kind kind,
   }
   out.write(reinterpret_cast<const char*>(file.data()),
             static_cast<std::streamsize>(file.size()));
-  UAVCOV_CHECK_MSG(out.good(), std::string("failed writing binary ") +
-                                   info(kind).name);
+  UAVCOV_CHECK_MSG(out.good(), "failed writing binary scenario");
   binary_metrics().saves.inc();
   binary_metrics().bytes_written.inc(static_cast<std::int64_t>(file.size()));
 }
 
-Document::Document(std::string_view data, Kind kind, std::uint32_t max_id)
-    : timer_(binary_metrics().load_seconds),
-      what_(std::string("binary ") + info(kind).name) {
+Document::Document(std::string_view data, std::uint32_t max_id)
+    : timer_(binary_metrics().load_seconds), what_("binary scenario") {
   UAVCOV_CHECK_MSG(data.size() >= kHeaderBytes,
                    what_ + ": truncated header at byte offset " +
                        std::to_string(data.size()) + " (need " +
                        std::to_string(kHeaderBytes) + " bytes)");
-  UAVCOV_CHECK_MSG(sniff_binary(data, kind), what_ + ": bad magic");
+  UAVCOV_CHECK_MSG(data.starts_with(kBinaryScenarioMagic),
+                   what_ + ": bad magic");
   const std::uint8_t* raw =
       reinterpret_cast<const std::uint8_t*>(data.data());
   const std::uint32_t version = get_u32(raw + 8);

@@ -1,9 +1,7 @@
-// What the three io documents share (docs/FORMATS.md): scenarios
-// (io/serialize.hpp), solutions, and churn traces (io/trace.hpp) all go
-// through the stream plumbing, the text record reader and the binary
-// section container below, and every "wrong kind" check reads the one
-// table of magics in codec.cpp.  Private to src/io: only src/io/*.cpp
-// include this header.
+// The plumbing under the scenario's two formats (docs/FORMATS.md): stream
+// helpers, the text record reader behind io/serialize.cpp, and the binary
+// section container behind io/binary.cpp.  Private to src/io: only
+// src/io/*.cpp include this header.
 #pragma once
 
 #include <cstdint>
@@ -28,25 +26,14 @@ void open_checked(std::ofstream& out, const std::string& path);
 /// The single read every loader works from.
 std::string slurp(std::istream& in);
 
-// ---- document kinds ---------------------------------------------------
-
-enum class Kind { kScenario, kSolution, kTrace };
-
-/// The format sniff of every loader: true if `bytes` are a binary `kind`
-/// document, false if they belong to the text parser.  Throws
-/// ContractError naming the kind when they open with another kind's
-/// binary magic, so a solution handed to the scenario loader (or a trace
-/// to either) fails by name instead of as a garbled text header.
-bool sniff_binary(std::string_view bytes, Kind kind);
-
 // ---- text records -----------------------------------------------------
 
 /// Sets max_digits10 (so doubles round-trip bit-exactly) and writes the
-/// `<magic> v1` header line of `kind`.
-void write_text_header(std::ostream& out, Kind kind);
+/// `uavcov-scenario v1` header line.
+void write_text_header(std::ostream& out);
 
-/// Reads and checks the `<magic> v1` header line of `kind`.
-void expect_text_header(std::istream& in, Kind kind);
+/// Reads and checks the `uavcov-scenario v1` header line.
+void expect_text_header(std::istream& in);
 
 /// Reads the next non-comment, non-empty line; returns false at EOF.
 bool next_record(std::istream& in, std::string& line);
@@ -90,27 +77,26 @@ struct Section {
 
 /// Assembles header + table + aligned payloads into one buffer and writes
 /// it with a single out.write.
-void write_document(std::ostream& out, Kind kind,
-                    const std::vector<Section>& sections);
+void write_document(std::ostream& out, const std::vector<Section>& sections);
 
-/// A binary document whose header and section table were validated and
+/// A binary scenario whose header and section table were validated and
 /// whose checksums all match.  Counts the load once the container
 /// validates (io.binary.loads, bytes_read) and times it from construction
 /// to destruction (io.binary.load_seconds).
 class Document {
  public:
   /// Throws ContractError, naming the byte offset where one applies, on a
-  /// truncated header, another kind's or an unknown magic, an unsupported
+  /// truncated header, a magic other than "UAVCBIN1", an unsupported
   /// version, a size field that disagrees with the input, a section table
   /// that does not fit, duplicate ids or ids outside [1, max_id],
   /// unaligned payloads, payloads that overlap the table or exceed the
   /// file, and checksum mismatches.
-  Document(std::string_view data, Kind kind, std::uint32_t max_id);
+  Document(std::string_view data, std::uint32_t max_id);
 
   /// Payload of section `id`; ContractError naming `name` if absent.
   std::string_view section(std::uint32_t id, const char* name) const;
 
-  /// "binary <kind>", the prefix of every error about this document.
+  /// "binary scenario", the prefix of every error about this document.
   const std::string& what() const { return what_; }
 
  private:

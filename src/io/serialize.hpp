@@ -1,5 +1,6 @@
-// Scenario / solution persistence: one format-agnostic API over two
-// on-disk formats.
+// Scenario persistence: one format-agnostic API over two on-disk
+// formats.  The scenario (§II: users with their r_min, the area grid and
+// the heterogeneous fleet) is the one document io saves and loads.
 //
 // *Text* (the default) is a versioned, line-oriented `key value...` format
 // (one record per line, '#' comments) — trivially diffable, stable across
@@ -16,24 +17,15 @@
 //   user <x> <y> <min_rate>        (n lines)
 //   uav <capacity> <tx_dbm> <gain_dbi> <user_range>   (K lines)
 //
-//   uavcov-solution v1
-//   algorithm approAlg
-//   served 2356
-//   solve_seconds 12.5
-//   deployment <uav> <loc>         (per deployment)
-//   assignment <user> <deployment> (served users only)
-//
 // *Binary* (io/binary.hpp) is the column-oriented, checksummed format for
 // large instances — at 10^6 users the text parser's per-field strtod
 // dominates end-to-end time, the binary loader is one read plus memcpys.
 //
 // The loaders take either format: they read the input once, sniff the
-// leading magic, and dispatch ("UAVCBIN1"/"UAVCSOL1" → binary, anything
-// else → the text parser).  Callers choose a format only when *saving*,
-// via the Format argument (text by default, so existing fixtures and
-// golden files are unchanged).  Feeding a solution where a scenario is
-// expected (or vice versa, in either format) fails with a ContractError
-// naming the format that was actually detected.
+// leading magic, and dispatch ("UAVCBIN1" → binary, anything else → the
+// text parser).  Callers choose a format only when *saving*, via the
+// Format argument (text by default, so existing fixtures and golden files
+// are unchanged).
 #pragma once
 
 #include <iosfwd>
@@ -41,7 +33,6 @@
 #include <string_view>
 
 #include "core/scenario.hpp"
-#include "core/solution.hpp"
 
 namespace uavcov::io {
 
@@ -65,16 +56,5 @@ Scenario load_scenario(std::istream& in);
 /// Same, from an in-memory image.
 Scenario load_scenario(std::string_view bytes);
 Scenario load_scenario_file(const std::string& path);
-
-void save_solution(std::ostream& out, const Solution& solution,
-                   Format format = Format::kText);
-
-/// Parses a solution in either format.  `user_count` sizes the assignment
-/// vector (users not listed are unserved).  Throws ContractError on
-/// malformed input: negative ids/counts, users out of [0, user_count),
-/// duplicate assignments, and assignments referencing deployments the
-/// input never declared.
-Solution load_solution(std::istream& in, std::int32_t user_count);
-Solution load_solution(std::string_view bytes, std::int32_t user_count);
 
 }  // namespace uavcov::io

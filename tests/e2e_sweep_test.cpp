@@ -1,10 +1,8 @@
 // Broad end-to-end sweep: every algorithm × several workload shapes ×
 // fleet sizes, checking full §II-C feasibility plus cross-algorithm
 // invariants (approAlg with refinement dominates RandomConnected; served
-// bounds hold; serialization round-trips the winner).
+// bounds hold).
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "baselines/greedy_assign.hpp"
 #include "baselines/kmeans_place.hpp"
@@ -14,7 +12,6 @@
 #include "baselines/random_connected.hpp"
 #include "core/appro_alg.hpp"
 #include "core/refine.hpp"
-#include "io/serialize.hpp"
 #include "workload/scenario_gen.hpp"
 
 namespace uavcov {
@@ -69,14 +66,6 @@ TEST_P(EndToEndSweep, AllAlgorithmsFeasibleAndOrdered) {
 
   // The refined paper algorithm must beat the random sanity baseline.
   EXPECT_GE(ours.served, all.back().served);
-
-  // Winner survives a serialization round trip bit-exactly.
-  std::stringstream buffer;
-  io::save_solution(buffer, ours);
-  const Solution loaded = io::load_solution(buffer, sc.user_count());
-  EXPECT_EQ(loaded.served, ours.served);
-  EXPECT_EQ(loaded.deployments, ours.deployments);
-  EXPECT_NO_THROW(validate_solution(sc, cov, loaded));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/fingerprint.hpp"
-#include "io/trace.hpp"
+#include "io/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "stream/churn.hpp"
 #include "stream/engine.hpp"
@@ -415,83 +414,7 @@ TEST(StreamIngest, EngineDrainsToEmptyAndRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace persistence.
-
-TEST(StreamTraceIo, TextAndBinaryRoundTripByteExactly) {
-  const Scenario base = stream_scenario(13);
-  const ChurnTrace trace =
-      stream::generate_trace(base, drill_trace_config(), 21);
-  for (const io::Format format : {io::Format::kText, io::Format::kBinary}) {
-    SCOPED_TRACE(format == io::Format::kText ? "text" : "binary");
-    std::ostringstream first;
-    io::save_trace(first, trace, format);
-    const ChurnTrace loaded = io::load_trace(first.str());
-    EXPECT_EQ(loaded, trace);
-    EXPECT_EQ(loaded.fingerprint(), trace.fingerprint());
-    std::ostringstream second;
-    io::save_trace(second, loaded, format);
-    EXPECT_EQ(first.str(), second.str());  // byte-exact, not just equal.
-  }
-}
-
-TEST(StreamTraceIo, EmptyAndDegenerateTracesRoundTrip) {
-  for (const io::Format format : {io::Format::kText, io::Format::kBinary}) {
-    ChurnTrace empty;
-    std::ostringstream out;
-    io::save_trace(out, empty, format);
-    EXPECT_EQ(io::load_trace(out.str()), empty);
-
-    ChurnTrace sparse;
-    sparse.epochs.resize(3);  // zero-event epochs must survive the trip.
-    sparse.epochs[1].events.push_back(
-        {ChurnKind::kArrive, 0, {1.5, 2.5}, 2e3});
-    std::ostringstream out2;
-    io::save_trace(out2, sparse, format);
-    EXPECT_EQ(io::load_trace(out2.str()), sparse);
-  }
-}
-
-TEST(StreamTraceIo, MalformedInputThrowsContractError) {
-  EXPECT_THROW(io::load_trace("uavcov-trace v2\nepochs 0\n"), ContractError);
-  EXPECT_THROW(io::load_trace("UAVCTRC1garbage"), ContractError);
-  EXPECT_THROW(io::load_trace("uavcov-trace v1\nepochs 1\n"), ContractError);
-  // Declared counts far beyond the records that follow: nothing may be
-  // sized from them.
-  EXPECT_THROW(io::load_trace("uavcov-trace v1\nepochs 999999999999999\n"),
-               ContractError);
-  EXPECT_THROW(io::load_trace("uavcov-trace v1\nepochs 1\n"
-                              "epoch 0 999999999999999\n"),
-               ContractError);
-  // A binary epoch count of 2^61 with its checksum fixed up: 8 + 8 * 2^61
-  // wraps to the section's real size, so sizes must not be checked by
-  // multiplying the count.
-  {
-    std::ostringstream empty;
-    io::save_trace(empty, ChurnTrace{}, io::Format::kBinary);
-    std::string huge = empty.str();
-    constexpr std::size_t kCounts = 88;  // first payload, after the table.
-    huge[kCounts + 7] = 0x20;            // u64 epoch count = 2^61.
-    Fnv1a sum;
-    for (std::size_t i = kCounts; i < kCounts + 8; ++i) {
-      sum.mix_byte(static_cast<std::uint8_t>(huge[i]));
-    }
-    const std::uint64_t digest = sum.digest();
-    for (std::size_t i = 0; i < 8; ++i) {  // entry 0's checksum field.
-      huge[24 + 24 + i] = static_cast<char>(digest >> (8 * i));
-    }
-    EXPECT_THROW(io::load_trace(huge), ContractError);
-  }
-
-  const Scenario base = stream_scenario(14, /*users=*/6, /*uavs=*/2);
-  ChurnTraceConfig config = drill_trace_config();
-  config.epochs = 2;
-  const ChurnTrace trace = stream::generate_trace(base, config, 31);
-  std::ostringstream out;
-  io::save_trace(out, trace, io::Format::kBinary);
-  std::string corrupted = out.str();
-  corrupted[corrupted.size() - 5] ^= 0x40;  // flip a payload byte.
-  EXPECT_THROW(io::load_trace(corrupted), ContractError);
-}
+// Trace generation.
 
 TEST(StreamTraceIo, GeneratorRejectsBadConfig) {
   ChurnTraceConfig config;

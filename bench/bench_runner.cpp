@@ -31,7 +31,6 @@
 #include "io/serialize.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/fault_plan.hpp"
 #include "service/service.hpp"
 #include "stream/engine.hpp"
 #include "workload/builder.hpp"
@@ -186,11 +185,11 @@ void run_suite(uavcov::obs::JsonWriter& w, bool quick,
     uavcov::stream::StreamPolicy policy;
     policy.served_floor = 0.7;
     policy.appro = config.appro;
-    uavcov::resilience::FaultPlanConfig faults;
+    uavcov::stream::FaultPlanConfig faults;
     faults.events = 3;
     faults.include_gateway_loss = true;  // exercises the escalation path
-    const uavcov::resilience::FaultPlan plan =
-        uavcov::resilience::make_fault_plan(scenario, faults, c.seed * 1009);
+    const uavcov::stream::FaultPlan plan =
+        uavcov::stream::make_fault_plan(scenario, faults, c.seed * 1009);
     const auto drill = [&] {
       uavcov::stream::StreamEngine engine(scenario, policy);
       Outcome out;

@@ -3,9 +3,11 @@
 // and measure the service-level fallout phase by phase.
 //
 // Prints the single points of failure of the initial network, then a
-// per-phase timeline: which fault hit, whether the repair stayed local (a
-// patch) or escalated to a full approAlg re-solve, how many users stayed
-// served, and the netsim throughput over the phase.
+// per-phase timeline: the mission horizon is split at each fault time, the
+// fault that opens a phase is fed to the engine as an epoch of its own,
+// and the table shows whether the repair stayed local (a patch) or
+// escalated to a full approAlg re-solve, how many users stayed served, and
+// the netsim throughput over the phase.
 //
 //   $ ./build/examples/fault_drill [--events 4] [--seed 7] [--gateway-loss]
 #include <iostream>
@@ -13,9 +15,8 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "resilience/fault_plan.hpp"
-#include "resilience/impact.hpp"
-#include "resilience/timeline.hpp"
+#include "netsim/service_sim.hpp"
+#include "stream/engine.hpp"
 #include "workload/scenario_gen.hpp"
 
 int main(int argc, char** argv) try {
@@ -40,63 +41,80 @@ int main(int argc, char** argv) try {
   config.fleet.uav_count = cli.get_int("uavs");
   const Scenario scenario = workload::make_disaster_scenario(config, rng);
 
-  resilience::TimelineConfig timeline;
-  timeline.horizon_s = 60.0 * cli.get_double("horizon-min");
-  timeline.policy.served_floor = cli.get_double("floor");
-  timeline.policy.appro.s = 2;
-  timeline.policy.appro.candidate_cap = 30;
-  timeline.policy.appro.time_budget_s = cli.get_double("budget-ms") / 1e3;
-  timeline.sim.slot_s = 0.01;
+  const double horizon_s = 60.0 * cli.get_double("horizon-min");
+  stream::StreamPolicy policy;
+  policy.served_floor = cli.get_double("floor");
+  policy.appro.s = 2;
+  policy.appro.candidate_cap = 30;
+  policy.appro.time_budget_s = cli.get_double("budget-ms") / 1e3;
 
-  resilience::FaultPlanConfig faults;
+  stream::FaultPlanConfig faults;
   faults.events = cli.get_int("events");
-  faults.horizon_s = timeline.horizon_s;
+  faults.horizon_s = horizon_s;
   faults.include_gateway_loss = cli.get_bool("gateway-loss");
-  const resilience::FaultPlan plan =
-      resilience::make_fault_plan(scenario, faults, seed * 1000003);
+  const stream::FaultPlan plan =
+      stream::make_fault_plan(scenario, faults, seed * 1000003);
 
-  const resilience::TimelineReport report =
-      resilience::run_fault_timeline(scenario, plan, timeline);
-  const Solution& initial = report.initial;
-  const resilience::ImpactReport impact =
-      resilience::analyze_impact(scenario, initial, plan);
+  stream::StreamEngine engine(scenario, policy);
+  // Intact fleet: the first epoch's materialized ids are base ids.
+  const Solution initial = engine.step({}).solution;
   std::cout << "Initial deployment: " << initial.deployments.size()
             << " UAVs serve " << initial.served << "/"
             << scenario.user_count() << " users\n";
   std::cout << "Single points of failure: ";
-  if (impact.single_points_of_failure.empty()) {
-    std::cout << "none";
-  } else {
-    for (std::size_t i = 0; i < impact.single_points_of_failure.size(); ++i) {
-      std::cout << (i ? ", " : "") << "UAV "
-                << impact.single_points_of_failure[i].value();
-    }
+  const std::vector<UavId> spof =
+      single_points_of_failure(scenario, initial.deployments);
+  if (spof.empty()) std::cout << "none";
+  for (std::size_t i = 0; i < spof.size(); ++i) {
+    std::cout << (i ? ", " : "") << "UAV " << spof[i].value();
   }
   std::cout << "\n\n";
 
   Table table;
   table.set_header({"t (min)", "fault", "repair", "served",
                     "throughput (kb/s)"});
-  for (std::size_t i = 0; i < report.phases.size(); ++i) {
-    const resilience::TimelinePhase& phase = report.phases[i];
+  netsim::ServiceSimConfig sim;
+  sim.slot_s = 0.01;
+  std::int64_t served = 0;
+  std::int32_t patches = 0;
+  std::int32_t full_solves = 0;
+  // Phase i runs from fault i-1 (or the start) to fault i (or the horizon).
+  for (std::size_t i = 0; i <= plan.events.size(); ++i) {
+    double start_s = 0.0;
     std::string fault = "-";
+    std::string repair = "-";
     if (i > 0) {
       const stream::FaultEvent& e = plan.events[i - 1];
+      const bool full_solve = engine.step({}, {&e, 1}).full_solve;
+      if (full_solve) {
+        ++full_solves;
+      } else {
+        ++patches;
+      }
+      start_s = e.time_s;
       fault = stream::to_string(e.kind);
       if (e.uav.valid()) fault += " UAV " + std::to_string(e.uav.value());
+      repair = full_solve ? "full_resolve" : "local";
     }
-    std::string repair = "-";
-    if (i > 0) repair = phase.full_solve ? "full_resolve" : "local";
-    table.add_row({format_double(phase.start_s / 60.0, 1), fault, repair,
-                   std::to_string(phase.served),
-                   format_double(phase.service.network_throughput_bps / 1e3,
-                                 1)});
+    sim.duration_s = (i < plan.events.size() ? plan.events[i].time_s
+                                             : horizon_s) -
+                     start_s;
+    // Base ids: feasible for the intact scenario, since a fault only
+    // removes UAVs and shrinks ranges.
+    const Solution standing =
+        stream::in_base_ids(engine.ingest(), engine.current());
+    served = standing.served;
+    const double throughput_bps =
+        netsim::simulate_service(scenario, standing, sim)
+            .network_throughput_bps;
+    table.add_row({format_double(start_s / 60.0, 1), fault, repair,
+                   std::to_string(served),
+                   format_double(throughput_bps / 1e3, 1)});
   }
   table.print(std::cout);
 
-  std::cout << "\nServed " << initial.served << " -> "
-            << report.phases.back().served << " users; " << report.patches
-            << " local repairs, " << report.full_solves
+  std::cout << "\nServed " << initial.served << " -> " << served
+            << " users; " << patches << " local repairs, " << full_solves
             << " full re-solves\n";
   return 0;
 } catch (const std::invalid_argument& e) {

@@ -6,7 +6,11 @@ Usage:
 
 Identity checks (exact — any mismatch is a failure):
   * schema_version,
-  * per-case scenario fingerprint and (seed, users, uavs, s) parameters,
+  * every field of a baseline case other than its name, algorithms and
+    metrics: the scenario fingerprint, the (seed, users, uavs, s)
+    parameters, and whatever else the case pins (fault-plan and trace
+    fingerprints, patch and re-solve counts, service retries...); a field
+    missing from the current case fails too,
   * per-algorithm served count and solution fingerprint,
   * every metrics counter value and histogram sample count.
 
@@ -36,6 +40,21 @@ class Report:
 
     def note(self, message):
         self.notes.append(message)
+
+
+# Case keys that are not identity fields of their own: the name matches
+# cases, and the algorithm rows and metrics have their own comparisons.
+STRUCTURAL_KEYS = ("name", "algorithms", "metrics")
+
+
+def compare_fields(case_name, base, cur, report):
+    for field, value in base.items():
+        if field in STRUCTURAL_KEYS:
+            continue
+        if field not in cur:
+            report.fail(f"{case_name}: field {field} missing from current")
+        elif cur[field] != value:
+            report.fail(f"{case_name}: {field} {value} != {cur[field]}")
 
 
 def compare_algorithms(case_name, base_algos, cur_algos, report):
@@ -112,11 +131,7 @@ def main():
 
     for name in shared:
         base, cur = base_cases[name], cur_cases[name]
-        for field in ("seed", "users", "uavs", "s", "scenario_fingerprint"):
-            if base[field] != cur[field]:
-                report.fail(
-                    f"{name}: {field} {base[field]} != {cur[field]}"
-                )
+        compare_fields(name, base, cur, report)
         compare_algorithms(name, base["algorithms"], cur["algorithms"], report)
         compare_metrics(
             name, base.get("metrics", {}), cur.get("metrics", {}), report

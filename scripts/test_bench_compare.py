@@ -86,6 +86,23 @@ class BenchCompareDriftTest(unittest.TestCase):
                 "count"] -= 1
         self.assert_drift(mutate, f"stream_churn_s1: histogram {name} count")
 
+    def test_fault_plan_fingerprint(self):
+        def mutate(doc):
+            case(doc, "repair_drill_s2")["fault_plan_fingerprint"] = (
+                "0x0000000000000000")
+        self.assert_drift(mutate, "repair_drill_s2: fault_plan_fingerprint")
+
+    def test_case_counter_field(self):
+        def mutate(doc):
+            case(doc, "stream_churn_s1")["patches"] += 1
+        self.assert_drift(mutate, "stream_churn_s1: patches")
+
+    def test_missing_case_field(self):
+        def mutate(doc):
+            del case(doc, "stream_churn_s1")["trace_fingerprint"]
+        self.assert_drift(
+            mutate, "stream_churn_s1: field trace_fingerprint missing")
+
     def test_schema_version(self):
         def mutate(doc):
             doc["schema_version"] = 2

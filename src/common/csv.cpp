@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/check.hpp"
-
 namespace uavcov {
 
 std::vector<std::string> parse_csv_row(const std::string& line) {
@@ -58,7 +56,9 @@ std::vector<std::string> parse_csv_row(const std::string& line) {
 }
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  UAVCOV_CHECK_MSG(out_.good(), "failed to open CSV file: " + path);
+  if (!out_.good()) {
+    throw std::invalid_argument("cannot open for writing: " + path);
+  }
 }
 
 std::string CsvWriter::quote(const std::string& cell) {

@@ -18,7 +18,7 @@ std::vector<std::string> parse_csv_row(const std::string& line);
 
 class CsvWriter {
  public:
-  /// Opens `path` for writing; throws ContractError on failure.
+  /// Opens `path` for writing; throws std::invalid_argument on failure.
   explicit CsvWriter(const std::string& path);
 
   /// Write a row; cells containing commas/quotes/newlines are quoted.

@@ -4,9 +4,9 @@
 // A re-plan then either spends idle UAVs on empty cells next to the
 // network (fill_frontier) or keeps the connected component that serves the
 // most users (best_component).  approAlg's leftover fill, the stream patch
-// of churn and fault epochs (stream/engine), the mission stitcher
-// (service/service) and impact analysis (resilience/impact) all call these
-// two functions, so each rule has exactly one implementation.
+// of churn and fault epochs (stream/engine) and the mission stitcher
+// (service/service) all call these two functions, so each rule has exactly
+// one implementation.
 #pragma once
 
 #include <cstdint>

@@ -58,4 +58,10 @@ std::vector<std::vector<std::int32_t>> network_components(
 bool deployments_connected(const Scenario& scenario,
                            const std::vector<Deployment>& deployments);
 
+/// Single points of failure (docs/RESILIENCE.md): the fleet ids, ascending,
+/// of the deployments that are articulation points of the same link graph
+/// — UAVs whose loss alone splits the network.
+std::vector<UavId> single_points_of_failure(
+    const Scenario& scenario, std::span<const Deployment> deployments);
+
 }  // namespace uavcov

@@ -1,11 +1,11 @@
 #include "eval/figures.hpp"
 
+#include <iostream>
 #include <memory>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
-#include "common/log.hpp"
 
 namespace uavcov::eval {
 
@@ -57,7 +57,7 @@ Table fig4_served_vs_k(const FigureScale& scale, std::int32_t k_min,
       }
     }
     append_sweep_row(table, csv.get(), std::to_string(k), results, false);
-    UAVCOV_LOG(Info) << "fig4: K=" << k << " done";
+    std::cerr << "fig4: K=" << k << " done\n";
   }
   return table;
 }
@@ -78,7 +78,7 @@ Table fig5_served_vs_n(const FigureScale& scale, std::int32_t n_min,
       }
     }
     append_sweep_row(table, csv.get(), std::to_string(n), results, false);
-    UAVCOV_LOG(Info) << "fig5: n=" << n << " done";
+    std::cerr << "fig5: n=" << n << " done\n";
   }
   return table;
 }
@@ -111,7 +111,7 @@ Table fig6_s_tradeoff(const FigureScale& scale, Table& runtime_table,
           sum[i].seconds += results[i].seconds;
         }
       }
-      UAVCOV_LOG(Info) << "fig6: rep=" << rep << " s=" << s << " done";
+      std::cerr << "fig6: rep=" << rep << " s=" << s << " done\n";
     }
   }
 

@@ -60,8 +60,7 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
 /// epoch of its own with deep audits forced on, and require every standing
 /// solution (base-id view) to stay §II-C feasible for the original
 /// instance (connected, capacities respected, no stranded assignment) —
-/// graceful degradation, never an invalid network.  Also runs the impact
-/// analyzer's no-repair numbers over the same plan.
+/// graceful degradation, never an invalid network.
 void run_repair_harness(const std::uint8_t* data, std::size_t size);
 
 /// Streaming engine (docs/STREAMING.md): decode a scenario plus a churn

@@ -41,34 +41,18 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
   return std::binary_search(nb.begin(), nb.end(), v);
 }
 
-namespace {
-Graph build_location_graph_impl(const Grid& grid, double range,
-                                const std::vector<bool>* active) {
+Graph build_location_graph(const Grid& grid, double range) {
   UAVCOV_CHECK_MSG(range > 0, "UAV communication range must be positive");
   std::vector<std::pair<NodeId, NodeId>> edges;
   const NodeId m = grid.size();
   for (NodeId u = 0; u < m; ++u) {
-    if (active && !(*active)[static_cast<std::size_t>(u)]) continue;
     for (const LocationId v :
          grid.centers_within(grid.center(to_cell(u)), range)) {
       if (to_node(v) <= u) continue;  // emit each undirected edge once
-      if (active && !(*active)[v.index()]) continue;
       edges.emplace_back(u, to_node(v));
     }
   }
   return Graph::from_edges(m, edges);
-}
-}  // namespace
-
-Graph build_location_graph(const Grid& grid, double range) {
-  return build_location_graph_impl(grid, range, nullptr);
-}
-
-Graph build_location_graph(const Grid& grid, double range,
-                           const std::vector<bool>& active) {
-  UAVCOV_CHECK_MSG(static_cast<NodeId>(active.size()) == grid.size(),
-                   "active mask size must equal grid size");
-  return build_location_graph_impl(grid, range, &active);
 }
 
 }  // namespace uavcov

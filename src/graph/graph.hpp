@@ -64,9 +64,4 @@ class Graph {
 /// edge (i, j) iff Euclidean distance <= range (paper: R_uav).
 Graph build_location_graph(const Grid& grid, double range);
 
-/// Same, over a subset of active locations; inactive cells get no incident
-/// edges (used after candidate pruning).
-Graph build_location_graph(const Grid& grid, double range,
-                           const std::vector<bool>& active);
-
 }  // namespace uavcov

@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <set>
+#include <stdexcept>
 
 #include "common/fingerprint.hpp"
 #include "io/binary.hpp"
@@ -54,12 +55,16 @@ std::size_t align_up(std::size_t at) {
 
 void open_checked(std::ifstream& in, const std::string& path) {
   in.open(path, std::ios::in | std::ios::binary);
-  UAVCOV_CHECK_MSG(in.good(), "cannot open for reading: " + path);
+  if (!in.good()) {
+    throw std::invalid_argument("cannot open for reading: " + path);
+  }
 }
 
 void open_checked(std::ofstream& out, const std::string& path) {
   out.open(path, std::ios::out | std::ios::binary);
-  UAVCOV_CHECK_MSG(out.good(), "cannot open for writing: " + path);
+  if (!out.good()) {
+    throw std::invalid_argument("cannot open for writing: " + path);
+  }
 }
 
 std::string slurp(std::istream& in) {

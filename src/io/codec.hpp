@@ -19,7 +19,8 @@ namespace uavcov::io::codec {
 // ---- stream plumbing --------------------------------------------------
 
 /// Opens `path` in binary mode for both formats: the loaders sniff bytes,
-/// and on POSIX text output is byte-identical either way.
+/// and on POSIX text output is byte-identical either way.  A path that
+/// cannot be opened is a configuration error: std::invalid_argument.
 void open_checked(std::ifstream& in, const std::string& path);
 void open_checked(std::ofstream& out, const std::string& path);
 

@@ -45,6 +45,7 @@ enum class Format {
 
 void save_scenario(std::ostream& out, const Scenario& scenario,
                    Format format = Format::kText);
+/// Throws std::invalid_argument when `path` cannot be opened.
 void save_scenario_file(const std::string& path, const Scenario& scenario,
                         Format format = Format::kText);
 
@@ -55,6 +56,8 @@ void save_scenario_file(const std::string& path, const Scenario& scenario,
 Scenario load_scenario(std::istream& in);
 /// Same, from an in-memory image.
 Scenario load_scenario(std::string_view bytes);
+/// Same, from a file; throws std::invalid_argument when `path` cannot be
+/// opened.
 Scenario load_scenario_file(const std::string& path);
 
 }  // namespace uavcov::io

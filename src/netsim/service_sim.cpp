@@ -59,9 +59,9 @@ struct UavState {
 constexpr std::size_t kServerQueueCap = 4096;
 
 /// num / den with a zero-duration / zero-slot guard: an empty observation
-/// window has zero throughput and utilization, not NaN.  The fault-drill
-/// timeline (src/resilience/timeline.hpp) legitimately produces
-/// zero-length phases when two faults coincide.
+/// window has zero throughput and utilization, not NaN.  The fault_drill
+/// example legitimately produces zero-length phases when two faults
+/// coincide.
 double safe_div(double num, double den) { return den > 0 ? num / den : 0.0; }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Deterministic shard-fault injection for the mission service
-// (docs/SERVICE.md), mirroring the resilience/fault_plan idiom: a seeded,
+// (docs/SERVICE.md), mirroring the stream::FaultPlan idiom: a seeded,
 // validated, fingerprintable plan that poisons specific tile-solve
 // attempts so retry / fallback / degradation drills are replayable
 // bit-for-bit on every platform.

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "common/fingerprint.hpp"
 #include "common/rng.hpp"
+#include "workload/mobility.hpp"
 
 namespace uavcov::stream {
 
@@ -33,6 +34,22 @@ struct LiveUser {
   std::int64_t uid = 0;
   User user{};
 };
+
+// Trace generator: P(a regular arrival lands near a live user), the
+// scatter (σ) of an arrival around its anchor or flash-crowd hotspot, and
+// the rate demand of every generated arrival.
+constexpr double kArrivalClusterBias = 0.7;
+constexpr double kArrivalSigmaM = 150.0;
+constexpr double kArrivalRateBps = 2e3;
+
+// Fault-plan generator: link-degrade scales are drawn from
+// [kMinRangeScale, 1).
+constexpr double kMinRangeScale = 0.6;
+
+[[noreturn]] void fail_event(std::size_t index, const std::string& what) {
+  throw std::invalid_argument("FaultPlan: event " + std::to_string(index) +
+                              ": " + what);
+}
 
 }  // namespace
 
@@ -68,6 +85,98 @@ std::string fault_error(const FaultEvent& event, std::int32_t fleet_size) {
            std::to_string(event.range_scale) + ")";
   }
   return "";
+}
+
+void FaultPlan::validate(const Scenario& scenario) const {
+  double prev_time = 0.0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const FaultEvent& e = events[i];
+    if (!std::isfinite(e.time_s) || e.time_s < 0.0) {
+      fail_event(i, "time_s must be finite and >= 0 (got " +
+                        std::to_string(e.time_s) + ")");
+    }
+    if (e.time_s < prev_time) {
+      fail_event(i, "times must be nondecreasing (" +
+                        std::to_string(e.time_s) + " after " +
+                        std::to_string(prev_time) + ")");
+    }
+    prev_time = e.time_s;
+    const std::string what = fault_error(e, scenario.uav_count());
+    if (!what.empty()) fail_event(i, what);
+  }
+}
+
+std::uint64_t FaultPlan::fingerprint() const {
+  Fnv1a h;
+  h.mix(static_cast<std::int64_t>(events.size()));
+  for (const FaultEvent& e : events) {
+    h.mix(e.time_s);
+    h.mix(static_cast<std::int32_t>(e.kind));
+    h.mix(e.uav.value());
+    h.mix(e.range_scale);
+  }
+  return h.digest();
+}
+
+FaultPlan make_fault_plan(const Scenario& scenario,
+                          const FaultPlanConfig& config, std::uint64_t seed) {
+  if (config.events < 0) {
+    throw std::invalid_argument("FaultPlanConfig: events must be >= 0");
+  }
+  if (!(config.horizon_s > 0.0) || !std::isfinite(config.horizon_s)) {
+    throw std::invalid_argument("FaultPlanConfig: horizon_s must be > 0");
+  }
+  Rng rng(seed);
+
+  // Event times first, sorted, so the kind/target draws below are
+  // independent of ordering.
+  std::vector<double> times(static_cast<std::size_t>(config.events));
+  for (double& t : times) t = rng.uniform(0.0, config.horizon_s);
+  std::sort(times.begin(), times.end());
+
+  // Pool of UAVs that may still be lost: distinct targets, and the fleet
+  // never dies entirely (the generator is for drills; the fuzz harness is
+  // free to exhaust it).
+  std::vector<UavId> pool(static_cast<std::size_t>(scenario.uav_count()));
+  for (std::size_t k = 0; k < pool.size(); ++k) {
+    pool[k] = UavId{k};
+  }
+  rng.shuffle(pool);
+  const std::size_t max_losses =
+      pool.empty() ? 0 : pool.size() - 1;  // keep >= 1 alive
+  std::size_t next_loss = 0;
+
+  FaultPlan plan;
+  plan.events.reserve(times.size());
+  bool gateway_used = false;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    FaultEvent e;
+    e.time_s = times[i];
+    // Draw a kind; loss kinds degrade to link_degrade once the pool is
+    // spent.
+    const bool last = i + 1 == times.size();
+    const std::int64_t draw = rng.uniform_int(0, 2);
+    FaultKind kind = draw == 2 ? FaultKind::kLinkDegrade
+                     : draw == 1 ? FaultKind::kBatteryDrain
+                                 : FaultKind::kCrash;
+    if (config.include_gateway_loss && last && !gateway_used &&
+        kind != FaultKind::kLinkDegrade) {
+      kind = FaultKind::kGatewayLoss;  // at most one, always the finale.
+    }
+    if (kind != FaultKind::kLinkDegrade && next_loss >= max_losses) {
+      kind = FaultKind::kLinkDegrade;
+    }
+    e.kind = kind;
+    if (kind != FaultKind::kLinkDegrade) {  // a loss
+      e.uav = pool[next_loss++];
+      if (kind == FaultKind::kGatewayLoss) gateway_used = true;
+    } else {
+      e.range_scale = rng.uniform(kMinRangeScale, 1.0);
+    }
+    plan.events.push_back(e);
+  }
+  plan.validate(scenario);
+  return plan;
 }
 
 std::int64_t ChurnTrace::event_count() const {
@@ -141,23 +250,10 @@ void ChurnTraceConfig::validate() const {
   if (max_departures_per_epoch < 0) {
     fail("max_departures_per_epoch must be >= 0");
   }
-  if (!std::isfinite(arrival_cluster_bias) || arrival_cluster_bias < 0.0 ||
-      arrival_cluster_bias > 1.0) {
-    fail("arrival_cluster_bias must be in [0, 1]");
-  }
-  if (!std::isfinite(arrival_sigma_m) || arrival_sigma_m < 0.0) {
-    fail("arrival_sigma_m must be >= 0 and finite");
-  }
   if (flash_crowd_epoch < -1) fail("flash_crowd_epoch must be >= -1");
   if (flash_crowd_size < 0) fail("flash_crowd_size must be >= 0");
-  if (!std::isfinite(flash_crowd_sigma_m) || flash_crowd_sigma_m < 0.0) {
-    fail("flash_crowd_sigma_m must be >= 0 and finite");
-  }
   if (!std::isfinite(drift_dt_s) || drift_dt_s < 0.0) {
     fail("drift_dt_s must be >= 0 and finite");
-  }
-  if (!std::isfinite(min_rate_bps) || min_rate_bps <= 0.0) {
-    fail("min_rate_bps must be positive and finite");
   }
 }
 
@@ -174,13 +270,13 @@ ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
   }
 
   const auto arrival_pos = [&](Rng& r) {
-    if (!live.empty() && r.chance(config.arrival_cluster_bias)) {
+    if (!live.empty() && r.chance(kArrivalClusterBias)) {
       const std::size_t anchor =
           static_cast<std::size_t>(r.next_below(live.size()));
       return base.grid.clamp({live[anchor].user.pos.x +
-                                  r.normal(0.0, config.arrival_sigma_m),
+                                  r.normal(0.0, kArrivalSigmaM),
                               live[anchor].user.pos.y +
-                                  r.normal(0.0, config.arrival_sigma_m)});
+                                  r.normal(0.0, kArrivalSigmaM)});
     }
     return Vec2{r.uniform(0.0, base.grid.width()),
                 r.uniform(0.0, base.grid.height())};
@@ -209,7 +305,7 @@ ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
         rng.uniform_int(0, config.max_arrivals_per_epoch);
     for (std::int64_t a = 0; a < arrivals; ++a) {
       const ChurnEvent ev{ChurnKind::kArrive, next_uid++, arrival_pos(rng),
-                          config.min_rate_bps};
+                          kArrivalRateBps};
       epoch.events.push_back(ev);
       live.push_back({ev.uid, {ev.pos, ev.min_rate_bps}});
     }
@@ -218,10 +314,10 @@ ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
                          rng.uniform(0.0, base.grid.height())};
       for (std::int32_t a = 0; a < config.flash_crowd_size; ++a) {
         const Vec2 pos = base.grid.clamp(
-            {hotspot.x + rng.normal(0.0, config.flash_crowd_sigma_m),
-             hotspot.y + rng.normal(0.0, config.flash_crowd_sigma_m)});
+            {hotspot.x + rng.normal(0.0, kArrivalSigmaM),
+             hotspot.y + rng.normal(0.0, kArrivalSigmaM)});
         const ChurnEvent ev{ChurnKind::kArrive, next_uid++, pos,
-                            config.min_rate_bps};
+                            kArrivalRateBps};
         epoch.events.push_back(ev);
         live.push_back({ev.uid, {ev.pos, ev.min_rate_bps}});
       }
@@ -236,7 +332,8 @@ ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
       walkers.users.clear();
       for (const LiveUser& u : live) walkers.users.push_back(u.user);
       SplitMix64 mix(seed ^ (0x53545245414dULL + static_cast<std::uint64_t>(e)));
-      workload::MobilityModel model(walkers, config.mobility, mix.next());
+      workload::MobilityModel model(walkers, workload::MobilityConfig{},
+                                    mix.next());
       model.step(walkers, config.drift_dt_s);
       for (std::size_t i = 0; i < live.size(); ++i) {
         const Vec2 pos = walkers.users[UserId(i)].pos;

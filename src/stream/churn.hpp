@@ -9,9 +9,10 @@
 // uids are the stable handles).  UAV faults (FaultEvent) ride along with
 // an epoch and name UAVs by their id in the base fleet.
 //
-// Traces are deterministic data: seeded generation (flash-crowd surges,
-// mobility-driven drift via workload/mobility), a replayable validity
-// check, and an FNV-1a fingerprint so golden tests can pin a trace.
+// Traces and fault plans are deterministic data: seeded generation
+// (flash-crowd surges, mobility-driven drift via workload/mobility; crash,
+// battery, link and gateway faults), a replayable validity check, and an
+// FNV-1a fingerprint so golden tests can pin them.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "workload/mobility.hpp"
 
 namespace uavcov::stream {
 
@@ -72,6 +72,36 @@ struct FaultEvent {
 /// combination that contradicts the rules above — or "" if it is not.
 std::string fault_error(const FaultEvent& event, std::int32_t fleet_size);
 
+/// One fault episode (docs/RESILIENCE.md): the faults of a drill, each
+/// fed to the engine as an epoch of its own.
+struct FaultPlan {
+  std::vector<FaultEvent> events;  ///< sorted by time_s.
+
+  /// Throws std::invalid_argument on the first malformed event: negative
+  /// or non-finite time, out-of-order times, or whatever fault_error
+  /// reports against the scenario's fleet.
+  void validate(const Scenario& scenario) const;
+
+  /// FNV-1a 64-bit digest of every event (time bits, kind, uav, scale
+  /// bits) — pins generator output in tests and the bench suite.
+  std::uint64_t fingerprint() const;
+};
+
+struct FaultPlanConfig {
+  std::int32_t events = 3;            ///< total events to generate.
+  double horizon_s = 600.0;           ///< event times drawn from (0, horizon).
+  bool include_gateway_loss = false;  ///< at most one per plan, always last.
+};
+
+/// Deterministic generator: the same (scenario, config, seed) triple
+/// yields a bit-identical plan on every platform (Rng is xoshiro256**).
+/// Each event is a crash, battery drain or link degradation with equal
+/// odds (scale uniform in [0.6, 1)).  UAV-loss events target distinct UAVs
+/// and never exhaust the fleet (at most K − 1 removals); surplus loss
+/// events become link degradations.
+FaultPlan make_fault_plan(const Scenario& scenario,
+                          const FaultPlanConfig& config, std::uint64_t seed);
+
 /// One batch of events; the engine sees the scenario only at epoch
 /// boundaries, so an epoch is the unit of both ingestion and re-solving.
 struct Epoch {
@@ -108,22 +138,14 @@ struct ChurnTraceConfig {
   /// capped by the live population (drawn from the epoch-start population,
   /// so a user never departs in its arrival epoch).
   std::int32_t max_departures_per_epoch = 4;
-  /// P(a regular arrival lands near an existing user) — preserves the
-  /// fat-tailed density, mirroring workload's waypoint bias.
-  double arrival_cluster_bias = 0.7;
-  double arrival_sigma_m = 150.0;
   /// Epoch index of a flash-crowd surge (-1 = none): `flash_crowd_size`
   /// extra arrivals clustered around one uniformly drawn hotspot.
   std::int32_t flash_crowd_epoch = -1;
   std::int32_t flash_crowd_size = 30;
-  double flash_crowd_sigma_m = 150.0;
   /// Mobility-driven drift: every epoch advances the live population by
-  /// `drift_dt_s` seconds of workload::MobilityModel walk and emits the
-  /// resulting moves (0 disables drift).
+  /// `drift_dt_s` seconds of workload::MobilityModel walk (default
+  /// MobilityConfig) and emits the resulting moves (0 disables drift).
   double drift_dt_s = 30.0;
-  workload::MobilityConfig mobility{};
-  /// Rate demand of generated arrivals.
-  double min_rate_bps = 2e3;
 
   /// Throws std::invalid_argument on out-of-domain fields, matching the
   /// ApproAlgParams::validate() style.
@@ -132,7 +154,11 @@ struct ChurnTraceConfig {
 
 /// Generates a deterministic trace over `base`'s area.  The initial
 /// population is base.users (uids [0, n)); generated uids continue from n.
-/// The result always passes `validate(base.user_count())`.
+/// A regular arrival lands near a random live user with probability 0.7
+/// (preserving the fat-tailed density, like workload's waypoint bias),
+/// else uniformly; arrivals demand 2 kb/s and scatter 150 m (σ) around
+/// their anchor or hotspot.  The result always passes
+/// `validate(base.user_count())`.
 ChurnTrace generate_trace(const Scenario& base, const ChurnTraceConfig& config,
                           std::uint64_t seed);
 

@@ -67,15 +67,6 @@ TEST(LocationGraph, EdgesExactlyWithinRange) {
   EXPECT_FALSE(g.has_edge(to_node(grid.id_of(0, 0)), to_node(grid.id_of(0, 2))));
 }
 
-TEST(LocationGraph, ActiveMaskDropsEdges) {
-  const Grid grid(300, 300, 100);
-  std::vector<bool> active(static_cast<std::size_t>(grid.size()), true);
-  active[grid.id_of(0, 1).index()] = false;
-  const Graph g = build_location_graph(grid, 110.0, active);
-  EXPECT_FALSE(g.has_edge(to_node(grid.id_of(0, 0)), to_node(grid.id_of(0, 1))));
-  EXPECT_TRUE(g.has_edge(to_node(grid.id_of(0, 0)), to_node(grid.id_of(1, 0))));
-}
-
 TEST(Bfs, LineGraphDistances) {
   const Graph g = Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto d = bfs_distances(g, 0);

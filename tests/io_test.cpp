@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "core/appro_alg.hpp"
 #include "io/serialize.hpp"
@@ -65,6 +66,13 @@ TEST(ScenarioIo, FileRoundTrip) {
   io::save_scenario_file(path, original);
   const Scenario loaded = io::load_scenario_file(path);
   EXPECT_EQ(loaded.users.size(), original.users.size());
+}
+
+TEST(ScenarioIo, UnopenablePathIsAConfigurationError) {
+  const std::string missing = testing::TempDir() + "/uavcov_missing_dir/s";
+  EXPECT_THROW(io::load_scenario_file(missing), std::invalid_argument);
+  EXPECT_THROW(io::save_scenario_file(missing, sample_scenario()),
+               std::invalid_argument);
 }
 
 TEST(ScenarioIo, CommentsAndBlankLinesIgnored) {

@@ -175,7 +175,7 @@ TEST(ServiceSim, ConfigContracts) {
   EXPECT_THROW(netsim::simulate_service(sc, sol, bad), ContractError);
 }
 
-// Edge cases the fault-drill timeline hits (docs/RESILIENCE.md): empty
+// Edge cases the fault_drill example hits (docs/RESILIENCE.md): empty
 // observation windows and UAVs with nobody attached must produce zeroed
 // statistics, never a division by zero.
 TEST(ServiceSim, ZeroDurationWindowYieldsZeroedStats) {

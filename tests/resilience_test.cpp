@@ -11,18 +11,15 @@
 
 #include "core/replan.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/fault_plan.hpp"
-#include "resilience/impact.hpp"
-#include "resilience/timeline.hpp"
 #include "stream/engine.hpp"
 #include "workload/scenario_gen.hpp"
 
 namespace uavcov {
 namespace {
 
-using resilience::FaultPlan;
-using resilience::FaultPlanConfig;
 using stream::EpochResult;
+using stream::FaultPlan;
+using stream::FaultPlanConfig;
 using stream::FaultEvent;
 using stream::FaultKind;
 using stream::StreamEngine;
@@ -89,22 +86,6 @@ Scenario line_scenario(std::int32_t fleet_size = 5,
   return sc;
 }
 
-/// Feasible line solution: UAV k at cell k, users assigned to their own
-/// cell's UAV.
-Solution line_solution(const Scenario& sc, std::int32_t per_cell = 4) {
-  Solution sol;
-  sol.algorithm = "line";
-  for (std::int32_t c = 0; c < 5; ++c) {
-    sol.deployments.push_back({UavId{c}, LocationId{c}});
-  }
-  sol.user_to_deployment.assign(sc.users.size(), -1);
-  for (const UserId u : sc.users.ids()) {
-    sol.user_to_deployment[u] = u.value() / per_cell;
-  }
-  sol.served = sc.user_count();
-  return sol;
-}
-
 // ---- Fault plans --------------------------------------------------------
 
 TEST(FaultPlan, GeneratorIsDeterministicAndValid) {
@@ -112,12 +93,12 @@ TEST(FaultPlan, GeneratorIsDeterministicAndValid) {
   FaultPlanConfig config;
   config.events = 5;
   config.include_gateway_loss = true;
-  const FaultPlan a = resilience::make_fault_plan(sc, config, 77);
-  const FaultPlan b = resilience::make_fault_plan(sc, config, 77);
+  const FaultPlan a = stream::make_fault_plan(sc, config, 77);
+  const FaultPlan b = stream::make_fault_plan(sc, config, 77);
   ASSERT_EQ(a.events.size(), b.events.size());
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_NO_THROW(a.validate(sc));
-  const FaultPlan c = resilience::make_fault_plan(sc, config, 78);
+  const FaultPlan c = stream::make_fault_plan(sc, config, 78);
   EXPECT_NE(a.fingerprint(), c.fingerprint());
   // Loss events target distinct UAVs and never exhaust the fleet.
   std::vector<UavId> lost;
@@ -150,51 +131,18 @@ TEST(FaultPlan, ValidateRejectsMalformedEvents) {
   EXPECT_NO_THROW(plan.validate(sc));
 }
 
-// ---- Impact analysis on the hand-built line -----------------------------
+// ---- Single points of failure on the hand-built line --------------------
 
-TEST(Impact, LineNetworkSpofAndStranding) {
+TEST(SinglePointsOfFailure, LineInteriorUavs) {
   const Scenario sc = line_scenario();
-  const Solution sol = line_solution(sc);
-  // Interior UAVs 1, 2, 3 are the articulation points of a 5-node line.
-  FaultPlan plan;
-  plan.events = {{10.0, FaultKind::kCrash, UavId{2}, 1.0}};
-  const resilience::ImpactReport report =
-      resilience::analyze_impact(sc, sol, plan);
-  EXPECT_EQ(report.single_points_of_failure,
+  // UAV k at cell k: interior UAVs 1, 2, 3 are the articulation points of
+  // the 5-node line.
+  std::vector<Deployment> line;
+  for (std::int32_t c = 0; c < 5; ++c) {
+    line.push_back({UavId{c}, LocationId{c}});
+  }
+  EXPECT_EQ(single_points_of_failure(sc, line),
             (std::vector<UavId>{UavId{1}, UavId{2}, UavId{3}}));
-  ASSERT_EQ(report.events.size(), 1u);
-  const resilience::EventImpact& e = report.events[0];
-  EXPECT_EQ(e.deployments_alive, 4);
-  EXPECT_EQ(e.components, 2);  // {0,1} and {3,4}
-  EXPECT_EQ(e.main_component_size, 2);
-  EXPECT_EQ(e.served_remaining, 8);   // 2 cells x 4 users
-  EXPECT_EQ(e.users_stranded, 12);    // the other 3 cells
-}
-
-TEST(Impact, LeafLossStrandsOnlyItsOwnUsers) {
-  const Scenario sc = line_scenario();
-  const Solution sol = line_solution(sc);
-  FaultPlan plan;
-  plan.events = {{10.0, FaultKind::kCrash, UavId{4}, 1.0}};  // leaf, not a SPOF
-  const resilience::ImpactReport report =
-      resilience::analyze_impact(sc, sol, plan);
-  ASSERT_EQ(report.events.size(), 1u);
-  EXPECT_EQ(report.events[0].components, 1);
-  EXPECT_EQ(report.events[0].served_remaining, 16);
-  EXPECT_EQ(report.events[0].users_stranded, 4);
-}
-
-TEST(Impact, LinkDegradeCanShatterTheLine) {
-  const Scenario sc = line_scenario();
-  const Solution sol = line_solution(sc);
-  FaultPlan plan;
-  // 320 m range * 0.5 < 300 m spacing: every link dies at once.
-  plan.events = {{10.0, FaultKind::kLinkDegrade, UavId::invalid(), 0.5}};
-  const resilience::ImpactReport report =
-      resilience::analyze_impact(sc, sol, plan);
-  ASSERT_EQ(report.events.size(), 1u);
-  EXPECT_EQ(report.events[0].components, 5);
-  EXPECT_EQ(report.events[0].main_component_size, 1);
 }
 
 // ---- Fault epochs on the line -------------------------------------------
@@ -340,7 +288,7 @@ TEST(FaultEpoch, PinnedDrillsBitIdenticalSerialVsParallel) {
     config.events = 4;
     config.include_gateway_loss = (seed % 2) == 0;
     const FaultPlan plan =
-        resilience::make_fault_plan(sc, config, seed * 977);
+        stream::make_fault_plan(sc, config, seed * 977);
     const auto serial = run_drill(sc, plan, /*threads=*/1);
     const auto parallel = run_drill(sc, plan, /*threads=*/4);
     EXPECT_EQ(serial.first, parallel.first) << "drill seed " << seed;
@@ -362,15 +310,11 @@ TEST(FaultEpoch, PatchRetains70PercentOnNonArticulationDrills) {
   const Scenario sc = drill_scenario(31);
   StreamEngine seed_engine(sc, drill_policy());
   const Solution initial = seed_engine.step({}).solution;
-  const resilience::ImpactReport spof =
-      resilience::analyze_impact(sc, initial, FaultPlan{});
+  const std::vector<UavId> spof =
+      single_points_of_failure(sc, initial.deployments);
   std::int32_t drills = 0;
   for (const Deployment& d : initial.deployments) {
-    const bool is_spof =
-        std::find(spof.single_points_of_failure.begin(),
-                  spof.single_points_of_failure.end(),
-                  d.uav) != spof.single_points_of_failure.end();
-    if (is_spof) continue;
+    if (std::binary_search(spof.begin(), spof.end(), d.uav)) continue;
     StreamEngine engine(sc, drill_policy());
     engine.step({});
     const EpochResult out =
@@ -524,47 +468,7 @@ TEST(Deadline, ParamValidation) {
   EXPECT_NO_THROW(params.validate());
 }
 
-// ---- Timeline + metrics -------------------------------------------------
-
-TEST(Timeline, DrillProducesPhasesAndFiniteServiceStats) {
-  const Scenario sc = drill_scenario(51, /*users=*/80, /*uavs=*/5);
-  StreamEngine engine(sc, drill_policy());
-  const Solution initial = engine.step({}).solution;
-
-  FaultPlan plan;
-  const UavId victim = initial.deployments.empty()
-                           ? UavId{0}
-                           : initial.deployments[0].uav;
-  const UavId second =
-      initial.deployments.size() > 1 ? initial.deployments[1].uav : victim;
-  plan.events = {{60.0, FaultKind::kLinkDegrade, UavId::invalid(), 0.9},
-                 {120.0, FaultKind::kCrash, victim, 1.0},
-                 {120.0, FaultKind::kBatteryDrain, second, 1.0}};
-  // Events 2 and 3 coincide: the middle phase has zero length.
-
-  resilience::TimelineConfig config;
-  config.horizon_s = 300.0;
-  config.policy = drill_policy();
-  config.sim.slot_s = 0.01;  // coarse slots keep the suite fast
-  const resilience::TimelineReport report =
-      resilience::run_fault_timeline(sc, plan, config);
-
-  ASSERT_EQ(report.phases.size(), plan.events.size() + 1);
-  EXPECT_EQ(report.initial.fingerprint(), initial.fingerprint());
-  EXPECT_EQ(report.phases.front().served, initial.served);
-  EXPECT_FALSE(report.phases.front().full_solve);
-  double previous_end = 0.0;
-  for (const resilience::TimelinePhase& phase : report.phases) {
-    EXPECT_EQ(phase.start_s, previous_end);
-    EXPECT_GE(phase.end_s, phase.start_s);
-    previous_end = phase.end_s;
-    EXPECT_TRUE(std::isfinite(phase.service.network_throughput_bps));
-    EXPECT_TRUE(std::isfinite(phase.service.mean_delay_s));
-  }
-  EXPECT_EQ(report.phases.back().end_s, config.horizon_s);
-  EXPECT_EQ(report.phases[2].end_s, report.phases[2].start_s);  // zero-length
-  EXPECT_EQ(report.patches + report.full_solves, 3);
-}
+// ---- Metrics ------------------------------------------------------------
 
 TEST(Metrics, FaultEpochCountersRecorded) {
   obs::Registry& registry = obs::Registry::instance();

@@ -420,9 +420,6 @@ TEST(StreamTraceIo, GeneratorRejectsBadConfig) {
   ChurnTraceConfig config;
   config.epochs = -1;
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  ChurnTraceConfig bias;
-  bias.arrival_cluster_bias = 1.5;
-  EXPECT_THROW(bias.validate(), std::invalid_argument);
   StreamPolicy policy;
   policy.served_floor = 0.0;
   EXPECT_THROW(policy.validate(), std::invalid_argument);

@@ -2,9 +2,6 @@
 //
 //   A. candidate-cap M          — quality/time trade-off of pruning the
 //                                 candidate cell set;
-//   B. seed-pair pruning        — lossless subset filter (same answer,
-//                                 fewer subsets);
-//   C. lazy vs plain greedy     — identical output, fewer flow probes;
 //   D. capacity order           — largest-first (paper) vs smallest-first:
 //                                 isolates the heterogeneity-awareness win;
 //   E. leftover-UAV fill        — our extension beyond the paper (grounded
@@ -63,41 +60,6 @@ int main(int argc, char** argv) try {
       t.add_row({cap == 0 ? "all" : std::to_string(cap),
                  std::to_string(stats.candidates),
                  std::to_string(stats.subsets_evaluated),
-                 std::to_string(served), format_double(stats.seconds, 3)});
-    }
-    t.print(std::cout);
-  }
-
-  std::cout << "\n=== Ablation B: seed-pair pruning ===\n";
-  {
-    Table t;
-    t.set_header({"pruning", "subsets", "served", "seconds"});
-    for (bool prune : {false, true}) {
-      ApproAlgParams params;
-      params.s = s;
-      params.candidate_cap = 40;
-      params.prune_seed_pairs = prune;
-      ApproAlgStats stats;
-      const auto served = run(params, stats);
-      t.add_row({prune ? "on" : "off",
-                 std::to_string(stats.subsets_evaluated),
-                 std::to_string(served), format_double(stats.seconds, 3)});
-    }
-    t.print(std::cout);
-  }
-
-  std::cout << "\n=== Ablation C: lazy vs plain greedy ===\n";
-  {
-    Table t;
-    t.set_header({"greedy", "flow probes", "served", "seconds"});
-    for (bool lazy : {false, true}) {
-      ApproAlgParams params;
-      params.s = s;
-      params.candidate_cap = 40;
-      params.lazy_greedy = lazy;
-      ApproAlgStats stats;
-      const auto served = run(params, stats);
-      t.add_row({lazy ? "lazy" : "plain", std::to_string(stats.probes),
                  std::to_string(served), format_double(stats.seconds, 3)});
     }
     t.print(std::cout);

@@ -363,6 +363,11 @@ int main(int argc, char** argv) try {
 
   const bool quick = cli.get_bool("quick");
   const std::string out_path = cli.get_string("out");
+  // Fail before the first case, not after the whole suite: open for append
+  // so an existing file is not truncated until the document is ready.
+  if (!std::ofstream(out_path, std::ios::app).good()) {
+    throw std::invalid_argument("cannot open for writing: " + out_path);
+  }
   uavcov::obs::Registry::instance().set_enabled(true);
 
   uavcov::obs::JsonWriter w;

@@ -92,134 +92,95 @@ void audit_greedy_round(const IncrementalAssignment& ia,
   analysis::require_clean(report);
 }
 
-/// Greedy submodular maximization under M1 ∩ M2 for one seed subset.
+/// Lazy greedy submodular maximization under M1 ∩ M2 for one seed subset.
 /// Returns the chosen locations in deployment order (UAVs are taken from
-/// `uav_order` front to back).  The lazy and plain modes pick the same
-/// locations for every fleet.
+/// `uav_order` front to back).  It picks the same locations as the plain
+/// greedy that probes every feasible location each round (the reference
+/// Algorithm 2 in tests/appro_alg_test.cpp), for every fleet.
 std::vector<LocationId> greedy_place(
     IncrementalAssignment& ia, const Scenario& scenario,
     const CoverageModel& coverage, const std::vector<LocationId>& pool,
     HopBudgetMatroid& m2, const std::vector<UavId>& uav_order,
-    std::int32_t l_max, bool lazy, bool audit, std::int64_t* probes,
+    std::int32_t l_max, bool audit, std::int64_t* probes,
     DeadlineMonitor* deadline) {
   std::vector<LocationId> chosen;
   chosen.reserve(static_cast<std::size_t>(l_max));
-  std::vector<bool> taken;  // indexed by position in `pool`
+  std::vector<bool> taken(pool.size(), false);  // by position in `pool`
 
-  if (lazy) {
-    // Max-heap of (stale upper bound, pool index).  A probed gain bounds
-    // later gains only for a UAV of the same radio class and no larger
-    // capacity: gains shrink as the set grows (submodular) and as the
-    // capacity shrinks.  Before any other UAV the heap is refilled with
-    // max_coverage, which bounds every UAV's gain at that cell.
-    std::priority_queue<std::pair<std::int64_t, std::int32_t>> heap;
-    taken.assign(pool.size(), false);
-    const auto refill = [&] {
-      heap = {};
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (taken[i]) continue;
-        heap.emplace(coverage.max_coverage(pool[i]),
-                     static_cast<std::int32_t>(i));
-      }
-    };
-    refill();
-    for (std::int32_t k = 0; k < l_max && !heap.empty(); ++k) {
-      // Cooperative deadline: a truncated greedy prefix is still a valid
-      // (independent, feasible) placement, so stopping here is safe.  The
-      // first round always runs, so every evaluated subset places a UAV.
-      if (k > 0 && deadline != nullptr && deadline->expired()) break;
-      const UavId uav = uav_order[static_cast<std::size_t>(k)];
-      if (k > 0) {
-        const UavId prev = uav_order[static_cast<std::size_t>(k - 1)];
-        if (coverage.radio_class_of(uav) != coverage.radio_class_of(prev) ||
-            scenario.fleet[uav].capacity > scenario.fleet[prev].capacity) {
-          refill();
-        }
-      }
-      LocationId pick = kInvalidLocation;
-      std::int32_t pick_idx = -1;
-      std::int64_t pick_gain = -1;
-      while (!heap.empty()) {
-        const auto [bound, idx] = heap.top();
-        heap.pop();
-        const LocationId loc = pool[static_cast<std::size_t>(idx)];
-        if (taken[static_cast<std::size_t>(idx)]) continue;
-        // Once the hop quotas reject a location they reject it forever
-        // (counters only grow), so drop it permanently.
-        if (!m2.can_add(loc)) continue;
-        const std::int64_t gain = ia.probe(uav, loc);
-        ++*probes;
-        UAVCOV_DCHECK(gain <= bound);
-        // Accept when no remaining entry can beat (gain, idx) in
-        // (value, index) lexicographic order — this reproduces exactly the
-        // plain greedy's largest-index-among-argmax winner.
-        const bool accept =
-            heap.empty() || gain > heap.top().first ||
-            (gain == heap.top().first && idx > heap.top().second);
-        if (accept) {
-          pick = loc;
-          pick_idx = idx;
-          pick_gain = gain;
-          break;
-        }
-        // Stale bound refreshed; retry against the rest of the heap.
-        heap.emplace(gain, idx);
-      }
-      if (pick == kInvalidLocation) break;  // no feasible location remains
-      ia.deploy(uav, pick);
-      m2.add(pick);
-      taken[static_cast<std::size_t>(pick_idx)] = true;
-      chosen.push_back(pick);
-      (void)pick_gain;
-      if (audit) {
-        audit_greedy_round(ia, m2, chosen,
-                           static_cast<std::int32_t>(uav_order.size()));
+  // Max-heap of (stale upper bound, pool index).  A probed gain bounds
+  // later gains only for a UAV of the same radio class and no larger
+  // capacity: gains shrink as the set grows (submodular) and as the
+  // capacity shrinks.  Before any other UAV the heap is refilled with
+  // max_coverage, which bounds every UAV's gain at that cell.
+  std::priority_queue<std::pair<std::int64_t, std::int32_t>> heap;
+  const auto refill = [&] {
+    heap = {};
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (taken[i]) continue;
+      heap.emplace(coverage.max_coverage(pool[i]),
+                   static_cast<std::int32_t>(i));
+    }
+  };
+  refill();
+  for (std::int32_t k = 0; k < l_max && !heap.empty(); ++k) {
+    // Cooperative deadline: a truncated greedy prefix is still a valid
+    // (independent, feasible) placement, so stopping here is safe.  The
+    // first round always runs, so every evaluated subset places a UAV.
+    if (k > 0 && deadline != nullptr && deadline->expired()) break;
+    const UavId uav = uav_order[static_cast<std::size_t>(k)];
+    if (k > 0) {
+      const UavId prev = uav_order[static_cast<std::size_t>(k - 1)];
+      if (coverage.radio_class_of(uav) != coverage.radio_class_of(prev) ||
+          scenario.fleet[uav].capacity > scenario.fleet[prev].capacity) {
+        refill();
       }
     }
-  } else {
-    // Plain greedy: probe every feasible pool entry each iteration.
-    taken.assign(pool.size(), false);
-    for (std::int32_t k = 0; k < l_max; ++k) {
-      if (k > 0 && deadline != nullptr && deadline->expired()) break;
-      const UavId uav = uav_order[static_cast<std::size_t>(k)];
-      std::int64_t best_gain = -1;
-      std::int32_t best_idx = -1;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (taken[i]) continue;
-        const LocationId loc = pool[i];
-        if (!m2.can_add(loc)) continue;
-        const std::int64_t gain = ia.probe(uav, loc);
-        ++*probes;
-        // `>=` keeps the largest pool index among ties — the same winner
-        // the lazy heap (max by bound, then by index) accepts, so both
-        // greedy modes produce identical deployments.
-        if (gain >= best_gain) {
-          best_gain = gain;
-          best_idx = static_cast<std::int32_t>(i);
-        }
+    LocationId pick = kInvalidLocation;
+    std::int32_t pick_idx = -1;
+    while (!heap.empty()) {
+      const auto [bound, idx] = heap.top();
+      heap.pop();
+      const LocationId loc = pool[static_cast<std::size_t>(idx)];
+      if (taken[static_cast<std::size_t>(idx)]) continue;
+      // Once the hop quotas reject a location they reject it forever
+      // (counters only grow), so drop it permanently.
+      if (!m2.can_add(loc)) continue;
+      const std::int64_t gain = ia.probe(uav, loc);
+      ++*probes;
+      UAVCOV_DCHECK(gain <= bound);
+      // Accept when no remaining entry can beat (gain, idx) in
+      // (value, index) lexicographic order — this reproduces exactly the
+      // plain greedy's largest-index-among-argmax winner.
+      const bool accept =
+          heap.empty() || gain > heap.top().first ||
+          (gain == heap.top().first && idx > heap.top().second);
+      if (accept) {
+        pick = loc;
+        pick_idx = idx;
+        break;
       }
-      if (best_idx < 0) break;
-      const LocationId loc = pool[static_cast<std::size_t>(best_idx)];
-      ia.deploy(uav, loc);
-      m2.add(loc);
-      taken[static_cast<std::size_t>(best_idx)] = true;
-      chosen.push_back(loc);
-      if (audit) {
-        audit_greedy_round(ia, m2, chosen,
-                           static_cast<std::int32_t>(uav_order.size()));
-      }
+      // Stale bound refreshed; retry against the rest of the heap.
+      heap.emplace(gain, idx);
+    }
+    if (pick == kInvalidLocation) break;  // no feasible location remains
+    ia.deploy(uav, pick);
+    m2.add(pick);
+    taken[static_cast<std::size_t>(pick_idx)] = true;
+    chosen.push_back(pick);
+    if (audit) {
+      audit_greedy_round(ia, m2, chosen,
+                         static_cast<std::int32_t>(uav_order.size()));
     }
   }
   return chosen;
 }
 
-/// Read-only inputs shared by every subset evaluation — and, on the
-/// parallel path, by every worker thread concurrently.  Nothing reachable
-/// from here is mutated during the search.
+/// Read-only inputs shared by every subset evaluation — and, with more
+/// than one worker, by every worker thread concurrently.  Nothing
+/// reachable from here is mutated during the search.
 struct SearchContext {
   const Scenario& scenario;
   const CoverageModel& coverage;
-  const ApproAlgParams& params;
   const std::vector<LocationId>& candidates;
   const std::vector<std::vector<std::int32_t>>& cand_dist;
   const Graph& g;
@@ -232,8 +193,8 @@ struct SearchContext {
 
 /// Mutable solver state owned by exactly one worker: the live flow network
 /// (whose checkpoint journals must never cross threads), the hop-distance
-/// scratch, local counters, and the worker's running best.  The parallel
-/// engine gives each thread its own instance; the serial path uses one.
+/// scratch, local counters, and the worker's running best.  Each worker
+/// has its own instance.
 struct WorkerState {
   explicit WorkerState(const SearchContext& ctx)
       : ia(ctx.scenario, ctx.coverage),
@@ -251,7 +212,7 @@ struct WorkerState {
 /// Evaluate one seed subset (positions into ctx.candidates).  `rank` is
 /// the subset's global enumeration index; recording it with the worker's
 /// best lets the reduction break served-count ties by enumeration order,
-/// which makes the parallel search bit-identical to the serial one.
+/// which makes the result independent of the worker count.
 void evaluate_subset(const SearchContext& ctx, WorkerState& w,
                      std::span<const std::int32_t> subset,
                      std::int64_t rank) {
@@ -269,10 +230,9 @@ void evaluate_subset(const SearchContext& ctx, WorkerState& w,
   std::vector<LocationId> chosen;
   {
     const obs::ScopedTimer timer(appro_metrics().greedy_seconds);
-    chosen =
-        greedy_place(w.ia, ctx.scenario, ctx.coverage, ctx.candidates, m2,
-                     ctx.uav_order, ctx.plan.L_max, ctx.params.lazy_greedy,
-                     ctx.audit, &w.probes, ctx.deadline);
+    chosen = greedy_place(w.ia, ctx.scenario, ctx.coverage, ctx.candidates,
+                          m2, ctx.uav_order, ctx.plan.L_max, ctx.audit,
+                          &w.probes, ctx.deadline);
   }
   const auto relay = [&] {
     const obs::ScopedTimer timer(appro_metrics().stitch_seconds);
@@ -303,13 +263,12 @@ void evaluate_subset(const SearchContext& ctx, WorkerState& w,
   w.ia.end_scope(scope);
 }
 
-/// DFS enumeration of s-subsets of ctx.candidates with the optional
-/// pairwise-hop pruning (prefix property: every pair in a kept subset is
-/// within L_max − 1 hops, so pruning applies as soon as a prefix violates
-/// it).  Calls `sink` with each surviving subset in the fixed global
-/// order; stops early when sink returns false.  Both the serial search
-/// and the parallel work-list builder run this same enumerator, so ranks
-/// agree by construction.
+/// DFS enumeration of s-subsets of ctx.candidates with the pairwise-hop
+/// pruning (prefix property: every pair in a kept subset is within
+/// L_max − 1 hops, so pruning applies as soon as a prefix violates it;
+/// DESIGN.md §3 shows it keeps the guarantee).  Calls `sink` with each
+/// surviving subset in the fixed global order; stops early when sink
+/// returns false.
 template <typename Sink>
 void enumerate_subsets(const SearchContext& ctx, std::int32_t s,
                        Sink&& sink) {
@@ -324,20 +283,18 @@ void enumerate_subsets(const SearchContext& ctx, std::int32_t s,
     }
     for (std::int32_t i = start;
          i < static_cast<std::int32_t>(ctx.candidates.size()); ++i) {
-      if (ctx.params.prune_seed_pairs) {
-        bool compatible = true;
-        for (std::int32_t j : subset) {
-          const std::int32_t hops =
-              ctx.cand_dist[static_cast<std::size_t>(j)]
-                           [ctx.candidates[static_cast<std::size_t>(i)]
-                                .index()];
-          if (hops == kUnreachable || hops > ctx.plan.L_max - 1) {
-            compatible = false;
-            break;
-          }
+      bool compatible = true;
+      for (std::int32_t j : subset) {
+        const std::int32_t hops =
+            ctx.cand_dist[static_cast<std::size_t>(j)]
+                         [ctx.candidates[static_cast<std::size_t>(i)]
+                              .index()];
+        if (hops == kUnreachable || hops > ctx.plan.L_max - 1) {
+          compatible = false;
+          break;
         }
-        if (!compatible) continue;
       }
+      if (!compatible) continue;
       subset.push_back(i);
       self(self, i + 1);
       subset.pop_back();
@@ -447,121 +404,87 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
   if (params.time_budget_s > 0.0) {
     deadline = std::make_unique<DeadlineMonitor>(watch, params.time_budget_s);
   }
-  const SearchContext ctx{scenario, coverage, params,    candidates,
-                          cand_dist, g,        plan,      uav_order,
-                          K,         audit,    deadline.get()};
+  const SearchContext ctx{scenario, coverage, candidates, cand_dist,
+                          g,        plan,     uav_order,  K,
+                          audit,    deadline.get()};
 
-  const std::int32_t requested = ThreadPool::resolve(params.threads);
+  // Materialize the work list first — enumeration is cheap next to
+  // evaluation (each evaluation runs a full greedy with flow probes) and a
+  // fixed list gives every subset its global rank up front.
+  std::vector<std::int32_t> flat;
+  enumerate_subsets(ctx, s, [&](const std::vector<std::int32_t>& subset) {
+    flat.insert(flat.end(), subset.begin(), subset.end());
+    ++st.subsets_enumerated;
+    return !(params.max_seed_subsets > 0 &&
+             st.subsets_enumerated >= params.max_seed_subsets);
+  });
+  const std::int64_t total = st.subsets_enumerated;
+  // At most one worker per subset, and always one: it hosts the fill.
+  const auto workers = static_cast<std::int32_t>(std::max<std::int64_t>(
+      1, std::min<std::int64_t>(ThreadPool::resolve(params.threads), total)));
 
+  // Lock-free reduction state: slot `wi` is written by exactly one worker
+  // (with a pool, publication to this thread happens-before wait_idle()
+  // returns, through the pool's internal mutex); the reduction below reads
+  // the slots single-threaded afterwards, so no lock is needed.
+  std::vector<std::unique_ptr<WorkerState>> states(
+      static_cast<std::size_t>(workers));
+  // atomic-invariant: fetch_add ticket dispenser — every rank in
+  // [0, total) is claimed by exactly one worker, so no subset is
+  // evaluated twice or skipped; relaxed order suffices because each
+  // worker only consumes the value it drew itself.
+  std::atomic<std::int64_t> next{0};
+  // atomic-invariant: count of claims that proceeded to evaluation;
+  // monotone increments only, read once after every worker has finished
+  // (wait_idle() synchronizes-with every pool worker's increments via the
+  // pool's mutex).
+  std::atomic<std::int64_t> evaluated{0};
+  const auto work = [&ctx, &states, &next, &evaluated, &flat, s,
+                     total](std::int32_t wi) {
+    // Per-worker state lives on the worker's thread: its DinicFlow, probe
+    // journals, and scratch never touch another thread.
+    auto state = std::make_unique<WorkerState>(ctx);
+    for (;;) {
+      const std::int64_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= total) break;
+      // Cooperative deadline: stop claiming work once the budget is spent,
+      // except for subset 0 — someone always evaluates it so a binding
+      // budget still yields a non-trivial solution.
+      if (i > 0 && ctx.deadline != nullptr && ctx.deadline->expired()) break;
+      evaluated.fetch_add(1, std::memory_order_relaxed);
+      evaluate_subset(ctx, *state,
+                      std::span<const std::int32_t>(
+                          flat.data() + i * s, static_cast<std::size_t>(s)),
+                      i);
+    }
+    states[static_cast<std::size_t>(wi)] = std::move(state);
+  };
+  if (workers == 1) {
+    work(0);  // on the calling thread: no pool, no pool metrics
+  } else {
+    ThreadPool pool(workers);
+    for (std::int32_t wi = 0; wi < workers; ++wi) {
+      pool.submit([&work, wi] { work(wi); });
+    }
+    pool.wait_idle();  // rethrows the first worker AuditError, if any
+  }
+  st.subsets_evaluated = evaluated.load(std::memory_order_relaxed);
+
+  // Deterministic reduction: highest served count wins; ties go to the
+  // smallest enumeration rank — what one worker scanning the list in order
+  // keeps, since it only replaces its best on a strict improvement.
   std::int64_t best_served = -1;
   std::int64_t best_rank = -1;
   std::vector<Deployment> best_deployments;
-  // Any worker's state can host the leftover-fill phase afterwards (each
-  // evaluation ends with end_scope, so the flow network is back to empty).
-  std::unique_ptr<WorkerState> fill_state;
-
-  if (requested <= 1) {
-    // Serial path: stream subsets straight out of the enumerator, exactly
-    // as before the parallel engine existed.
-    auto state = std::make_unique<WorkerState>(ctx);
-    std::int64_t rank = 0;
-    enumerate_subsets(ctx, s, [&](const std::vector<std::int32_t>& subset) {
-      // Deadline check between subsets; the first subset always runs so a
-      // binding budget still yields a non-trivial solution.
-      if (rank > 0 && ctx.deadline != nullptr && ctx.deadline->expired()) {
-        return false;
-      }
-      ++st.subsets_enumerated;
-      ++st.subsets_evaluated;
-      evaluate_subset(ctx, *state, subset, rank);
-      ++rank;
-      return !(params.max_seed_subsets > 0 &&
-               st.subsets_evaluated >= params.max_seed_subsets);
-    });
-    best_served = state->best_served;
-    best_rank = state->best_rank;
-    best_deployments = std::move(state->best_deployments);
+  for (auto& state : states) {
     st.probes += state->probes;
     st.subsets_stitched += state->subsets_stitched;
-    fill_state = std::move(state);
-  } else {
-    // Parallel path.  Materialize the work list first — enumeration is
-    // cheap next to evaluation (each evaluation runs a full greedy with
-    // flow probes) and a fixed list gives every subset its global rank up
-    // front.  The budget truncates the list to exactly the subsets the
-    // serial path would have evaluated.
-    std::vector<std::int32_t> flat;
-    enumerate_subsets(ctx, s, [&](const std::vector<std::int32_t>& subset) {
-      flat.insert(flat.end(), subset.begin(), subset.end());
-      ++st.subsets_enumerated;
-      return !(params.max_seed_subsets > 0 &&
-               st.subsets_enumerated >= params.max_seed_subsets);
-    });
-    const std::int64_t total = st.subsets_enumerated;
-    st.subsets_evaluated = total;
-
-    if (total > 0) {
-      const std::int32_t workers = static_cast<std::int32_t>(
-          std::min<std::int64_t>(requested, total));
-      // Lock-free reduction state: slot `wi` is written by exactly one
-      // worker (publication to this thread happens-before wait_idle()
-      // returns, through the pool's internal mutex); the reduction below
-      // reads the slots single-threaded afterwards, so no lock is needed.
-      std::vector<std::unique_ptr<WorkerState>> states(
-          static_cast<std::size_t>(workers));
-      // atomic-invariant: fetch_add ticket dispenser — every rank in
-      // [0, total) is claimed by exactly one worker, so no subset is
-      // evaluated twice or skipped; relaxed order suffices because each
-      // worker only consumes the value it drew itself.
-      std::atomic<std::int64_t> next{0};
-      // atomic-invariant: count of claims that proceeded to evaluation;
-      // monotone increments only, read once after wait_idle() (which
-      // synchronizes-with every worker's increments via the pool's mutex).
-      std::atomic<std::int64_t> evaluated{0};
-      ThreadPool pool(workers);
-      for (std::int32_t wi = 0; wi < workers; ++wi) {
-        pool.submit([&ctx, &states, &next, &evaluated, &flat, s, total, wi] {
-          // Per-worker state lives on the worker thread: its DinicFlow,
-          // probe journals, and scratch never touch another thread.
-          auto state = std::make_unique<WorkerState>(ctx);
-          for (;;) {
-            const std::int64_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= total) break;
-            // Cooperative deadline: stop claiming work once the budget is
-            // spent, except for subset 0 — someone always evaluates it so
-            // a binding budget still yields a non-trivial solution.
-            if (i > 0 && ctx.deadline != nullptr && ctx.deadline->expired())
-              break;
-            evaluated.fetch_add(1, std::memory_order_relaxed);
-            evaluate_subset(
-                ctx, *state,
-                std::span<const std::int32_t>(
-                    flat.data() + i * s, static_cast<std::size_t>(s)),
-                i);
-          }
-          states[static_cast<std::size_t>(wi)] = std::move(state);
-        });
-      }
-      pool.wait_idle();  // rethrows the first worker AuditError, if any
-      st.subsets_evaluated = evaluated.load(std::memory_order_relaxed);
-
-      // Deterministic reduction: highest served count wins; ties go to
-      // the smallest enumeration rank — the subset the serial loop would
-      // have kept (it only replaces on a strict improvement).
-      for (auto& state : states) {
-        if (!state) continue;
-        st.probes += state->probes;
-        st.subsets_stitched += state->subsets_stitched;
-        if (state->best_served > best_served ||
-            (state->best_served == best_served && state->best_served >= 0 &&
-             state->best_rank < best_rank)) {
-          best_served = state->best_served;
-          best_rank = state->best_rank;
-          best_deployments = state->best_deployments;
-        }
-        if (!fill_state) fill_state = std::move(state);
-      }
+    if (state->best_served > best_served ||
+        (state->best_served == best_served && state->best_served >= 0 &&
+         state->best_rank < best_rank)) {
+      best_served = state->best_served;
+      best_rank = state->best_rank;
+      best_deployments = std::move(state->best_deployments);
     }
   }
   lap(st.phases.search_s);
@@ -571,9 +494,9 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
     // Engineering extension (see ApproAlgParams::fill_leftover_uavs): the
     // paper grounds the K − q_j UAVs that neither serve nor relay; we
     // spend them greedily on cells adjacent to the winning network while
-    // they still add served users.
-    if (!fill_state) fill_state = std::make_unique<WorkerState>(ctx);
-    IncrementalAssignment& ia = fill_state->ia;
+    // they still add served users.  Any worker's state can host this fill:
+    // each evaluation ends with end_scope, so its flow network is empty.
+    IncrementalAssignment& ia = states.front()->ia;
     const auto scope = ia.begin_scope();
     for (const Deployment& d : best_deployments) ia.deploy(d.uav, d.loc);
     st.probes += fill_frontier(ia, g, coverage, uav_order);

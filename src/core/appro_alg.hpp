@@ -13,16 +13,12 @@
 //      evaluate the served-user count.
 // The best subset wins; its deployment gets a final optimal assignment.
 //
-// Scaling knobs (all default to the paper-faithful behavior except the
-// lossless seed-pair pruning — see DESIGN.md §3):
-//   * candidate_cap    — keep only the top-M locations by coverable users
-//                        (0 = every location that covers at least 1 user);
-//   * prune_seed_pairs — skip subsets with pairwise hop distance > L_max−1
-//                        (lossless for the approximation guarantee: the
-//                        seeds used by the analysis lie on one Euler
-//                        subpath with at most L_max nodes);
-//   * lazy_greedy      — lazy vs plain greedy evaluation (same output for
-//                        every fleet, any UAV order or radio-class mix).
+// Seed subsets whose pairwise hop distance exceeds L_max − 1 are never
+// enumerated.  This keeps the approximation guarantee: the seeds used by
+// the analysis lie on one Euler subpath with at most L_max nodes
+// (DESIGN.md §3).  The scaling knob candidate_cap keeps only the top-M
+// locations by coverable users (0 = every location that covers at least
+// 1 user).
 #pragma once
 
 #include "core/appro_alg_stats.hpp"
@@ -36,8 +32,6 @@ namespace uavcov {
 struct ApproAlgParams {
   std::int32_t s = 3;
   std::int32_t candidate_cap = 0;
-  bool prune_seed_pairs = true;
-  bool lazy_greedy = true;
   /// Ablation knob: deploy smallest-capacity UAVs first instead of the
   /// paper's largest-first rule.  Quantifies how much of approAlg's win
   /// comes from steering big UAVs onto coverage spots (§I's argument).
@@ -52,11 +46,11 @@ struct ApproAlgParams {
   /// subsets (0 = unlimited).  Deterministic: enumeration order is fixed.
   std::int64_t max_seed_subsets = 0;
   /// Worker threads for the seed-subset search: 0 = hardware concurrency,
-  /// 1 = the serial path, N > 1 = a fixed pool of N workers.  The parallel
-  /// search is bit-identical to the serial one (each worker owns its flow
-  /// network; the reduction is deterministic — best served count wins,
-  /// ties broken by enumeration index), so this is purely a wall-clock
-  /// knob.  See DESIGN.md §7.
+  /// N >= 1 = at most N workers.  One worker runs on the calling thread;
+  /// more run in a fixed pool.  The output is bit-identical for every
+  /// count (each worker owns its flow network; the reduction is
+  /// deterministic — best served count wins, ties broken by enumeration
+  /// index), so this is purely a wall-clock knob.  See DESIGN.md §7.
   std::int32_t threads = 1;
   /// Run the deep invariant auditors (src/analysis/audit.hpp) on every
   /// greedy round and on the final solution, throwing AuditError on any

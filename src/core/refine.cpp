@@ -39,61 +39,56 @@ RefineStats refine_solution(const Scenario& scenario,
   for (std::int32_t round = 0; round < params.max_rounds; ++round) {
     bool improved = false;
 
-    if (params.enable_relocate) {
-      for (std::size_t i = 0; i < deps.size(); ++i) {
-        const LocationId from = deps[i].loc;
-        LocationId best_to = kInvalidLocation;
-        std::int64_t best_gain_served = best_served;
-        for (const NodeId nb : g.neighbors(to_node(from))) {
-          const LocationId to = to_cell(nb);
-          if (occupied[to.index()]) continue;
-          // Cheap precheck: only consider cells that can cover someone,
-          // unless the UAV currently serves nobody (pure relay moves are
-          // allowed but cannot improve served count alone).
-          if (coverage.max_coverage(to) == 0) continue;
-          deps[i].loc = to;
-          if (connected(deps)) {
-            const std::int64_t served = evaluate(deps);
-            if (served > best_gain_served) {
-              best_gain_served = served;
-              best_to = to;
-            }
+    // Relocate moves.
+    for (std::size_t i = 0; i < deps.size(); ++i) {
+      const LocationId from = deps[i].loc;
+      LocationId best_to = kInvalidLocation;
+      std::int64_t best_gain_served = best_served;
+      for (const NodeId nb : g.neighbors(to_node(from))) {
+        const LocationId to = to_cell(nb);
+        if (occupied[to.index()]) continue;
+        // Cheap precheck: only consider cells that can cover someone,
+        // unless the UAV currently serves nobody (pure relay moves are
+        // allowed but cannot improve served count alone).
+        if (coverage.max_coverage(to) == 0) continue;
+        deps[i].loc = to;
+        if (connected(deps)) {
+          const std::int64_t served = evaluate(deps);
+          if (served > best_gain_served) {
+            best_gain_served = served;
+            best_to = to;
           }
-          deps[i].loc = from;
         }
-        if (best_to.valid()) {
-          occupied[from.index()] = false;
-          occupied[best_to.index()] = true;
-          deps[i].loc = best_to;
-          best_served = best_gain_served;
-          ++stats.relocations;
-          improved = true;
-        }
+        deps[i].loc = from;
+      }
+      if (best_to.valid()) {
+        occupied[from.index()] = false;
+        occupied[best_to.index()] = true;
+        deps[i].loc = best_to;
+        best_served = best_gain_served;
+        ++stats.relocations;
+        improved = true;
       }
     }
 
-    if (params.enable_swap) {
-      for (std::size_t i = 0; i < deps.size(); ++i) {
-        for (std::size_t j = i + 1; j < deps.size(); ++j) {
-          // Swapping identical UAVs cannot change the assignment value.
-          const UavSpec& a =
-              scenario.fleet[deps[i].uav];
-          const UavSpec& b =
-              scenario.fleet[deps[j].uav];
-          if (a.capacity == b.capacity &&
-              a.user_range_m == b.user_range_m &&
-              a.radio.tx_power_dbm == b.radio.tx_power_dbm) {
-            continue;
-          }
-          std::swap(deps[i].loc, deps[j].loc);
-          const std::int64_t served = evaluate(deps);
-          if (served > best_served) {
-            best_served = served;
-            ++stats.swaps;
-            improved = true;
-          } else {
-            std::swap(deps[i].loc, deps[j].loc);  // revert
-          }
+    // Swap moves.
+    for (std::size_t i = 0; i < deps.size(); ++i) {
+      for (std::size_t j = i + 1; j < deps.size(); ++j) {
+        // Swapping identical UAVs cannot change the assignment value.
+        const UavSpec& a = scenario.fleet[deps[i].uav];
+        const UavSpec& b = scenario.fleet[deps[j].uav];
+        if (a.capacity == b.capacity && a.user_range_m == b.user_range_m &&
+            a.radio.tx_power_dbm == b.radio.tx_power_dbm) {
+          continue;
+        }
+        std::swap(deps[i].loc, deps[j].loc);
+        const std::int64_t served = evaluate(deps);
+        if (served > best_served) {
+          best_served = served;
+          ++stats.swaps;
+          improved = true;
+        } else {
+          std::swap(deps[i].loc, deps[j].loc);  // revert
         }
       }
     }

@@ -24,8 +24,6 @@ namespace uavcov {
 
 struct RefineParams {
   std::int32_t max_rounds = 20;  ///< full passes over the deployment.
-  bool enable_relocate = true;
-  bool enable_swap = true;
 };
 
 struct RefineStats {

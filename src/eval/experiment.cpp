@@ -5,6 +5,9 @@
 #include "baselines/mcs.hpp"
 #include "baselines/motion_ctrl.hpp"
 #include "baselines/random_connected.hpp"
+#include <stdexcept>
+#include <string>
+
 #include "common/check.hpp"
 
 namespace uavcov::eval {
@@ -45,7 +48,11 @@ std::vector<AlgoResult> run_all_on(const Scenario& scenario,
 
 std::vector<AlgoResult> run_averaged(const RunConfig& config,
                                      std::int32_t repetitions) {
-  UAVCOV_CHECK_MSG(repetitions >= 1, "need at least one repetition");
+  if (repetitions < 1) {
+    throw std::invalid_argument(
+        "run_averaged: need at least one repetition (got " +
+        std::to_string(repetitions) + ")");
+  }
   std::vector<AlgoResult> mean;
   for (std::int32_t rep = 0; rep < repetitions; ++rep) {
     RunConfig run = config;

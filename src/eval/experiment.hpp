@@ -46,7 +46,8 @@ std::vector<AlgoResult> run_all_on(const Scenario& scenario,
                                    ApproAlgStats* appro_stats = nullptr);
 
 /// Average `repetitions` runs with seeds seed, seed+1, ... (served counts
-/// and seconds are arithmetic means).
+/// and seconds are arithmetic means).  Throws std::invalid_argument when
+/// `repetitions` < 1.
 std::vector<AlgoResult> run_averaged(const RunConfig& config,
                                      std::int32_t repetitions);
 

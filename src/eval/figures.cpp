@@ -2,6 +2,8 @@
 
 #include <iostream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -39,10 +41,29 @@ std::vector<std::string> header_for(const std::vector<AlgoResult>& results,
   for (const AlgoResult& r : results) header.push_back(r.name);
   return header;
 }
+
+/// Throws std::invalid_argument, before any solve, unless the sweep over
+/// `x` walks lo..hi upwards (lo <= hi, step >= 1) with at least one
+/// repetition per point.
+void check_sweep(const std::string& x, std::int32_t lo, std::int32_t hi,
+                 std::int32_t step, std::int32_t repetitions) {
+  const auto fail = [&x](const std::string& what) {
+    throw std::invalid_argument(x + " sweep: " + what);
+  };
+  if (lo > hi) {
+    fail("min " + std::to_string(lo) + " exceeds max " + std::to_string(hi));
+  }
+  if (step < 1) fail("step must be >= 1 (got " + std::to_string(step) + ")");
+  if (repetitions < 1) {
+    fail("repetitions must be >= 1 (got " + std::to_string(repetitions) +
+         ")");
+  }
+}
 }  // namespace
 
 Table fig4_served_vs_k(const FigureScale& scale, std::int32_t k_min,
                        std::int32_t k_max, std::int32_t k_step) {
+  check_sweep("K", k_min, k_max, k_step, scale.repetitions);
   Table table;
   std::unique_ptr<CsvWriter> csv;
   for (std::int32_t k = k_min; k <= k_max; k += k_step) {
@@ -64,6 +85,7 @@ Table fig4_served_vs_k(const FigureScale& scale, std::int32_t k_min,
 
 Table fig5_served_vs_n(const FigureScale& scale, std::int32_t n_min,
                        std::int32_t n_max, std::int32_t n_step) {
+  check_sweep("n", n_min, n_max, n_step, scale.repetitions);
   Table table;
   std::unique_ptr<CsvWriter> csv;
   for (std::int32_t n = n_min; n <= n_max; n += n_step) {
@@ -88,6 +110,7 @@ Table fig6_s_tradeoff(const FigureScale& scale, Table& runtime_table,
   // Only `s` varies across this sweep, so each repetition generates its
   // scenario + coverage model once and reuses them for every s via
   // run_all_on() (the eligibility precomputation dominates small runs).
+  check_sweep("s", s_min, s_max, /*step=*/1, scale.repetitions);
   std::vector<std::vector<AlgoResult>> sums(
       static_cast<std::size_t>(s_max - s_min + 1));
   for (std::int32_t rep = 0; rep < scale.repetitions; ++rep) {

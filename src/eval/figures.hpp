@@ -30,6 +30,9 @@ struct FigureScale {
   std::string csv_path;            ///< empty = no CSV output.
 };
 
+/// Each sweep throws std::invalid_argument before any solve when its range
+/// cannot run: min > max, a step below 1, or scale.repetitions below 1.
+
 /// Fig. 4: K sweeps k_min..k_max (step k_step), fixed n and s.
 Table fig4_served_vs_k(const FigureScale& scale, std::int32_t k_min = 2,
                        std::int32_t k_max = 20, std::int32_t k_step = 2);

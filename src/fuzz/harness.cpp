@@ -163,8 +163,10 @@ void run_appro_alg_harness(const std::uint8_t* data, std::size_t size) {
   params.candidate_cap = r.take_bool()
                              ? 0
                              : static_cast<std::int32_t>(r.take_int(1, 8));
-  params.prune_seed_pairs = r.take_bool();
-  params.lazy_greedy = r.take_bool();
+  // Two retired switches (seed-pair pruning, lazy greedy): their bytes are
+  // still consumed, so every corpus file decodes to the same parameters.
+  (void)r.take_bool();
+  (void)r.take_bool();
   params.capacity_ascending = r.take_bool();
   params.fill_leftover_uavs = r.take_bool();
   params.max_seed_subsets = 200;  // bounded runtime on pathological inputs

@@ -36,10 +36,10 @@ class FuzzFailure : public std::runtime_error {
 /// capacity respected).
 void run_assignment_harness(const std::uint8_t* data, std::size_t size);
 
-/// End-to-end approAlg with auditing forced on: serial (threads=1) vs
-/// parallel (threads=4) Solution and stats equality, full §II-C
-/// feasibility, Algorithm 1 plan audit, and — on tiny instances — the
-/// exhaustive optimum as an upper bound.
+/// End-to-end approAlg with auditing forced on: 1-worker (threads=1, on
+/// the calling thread) vs 4-worker (threads=4, pooled) Solution and stats
+/// equality, full §II-C feasibility, Algorithm 1 plan audit, and — on tiny
+/// instances — the exhaustive optimum as an upper bound.
 void run_appro_alg_harness(const std::uint8_t* data, std::size_t size);
 
 /// Algorithm 1: audit_segment_plan cleanliness, optimality of the balanced

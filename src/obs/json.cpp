@@ -178,43 +178,4 @@ void write_snapshot(JsonWriter& w, const Snapshot& snapshot) {
   w.end_object();
 }
 
-std::string to_json(const Snapshot& snapshot) {
-  JsonWriter w;
-  write_snapshot(w, snapshot);
-  return w.take();
-}
-
-std::string to_csv(const Snapshot& snapshot) {
-  std::string out = "kind,name,value,high_water,count,sum,min,max\n";
-  const auto row = [&out](std::string_view kind, const std::string& name,
-                    std::int64_t value, std::int64_t high_water,
-                    std::int64_t count, std::int64_t sum, std::int64_t min,
-                    std::int64_t max) {
-    out += kind;
-    out += ',';
-    out += name;  // metric names never contain commas/quotes by convention
-    for (const std::int64_t v : {value, high_water, count, sum, min, max}) {
-      out += ',';
-      out += std::to_string(v);
-    }
-    out += '\n';
-  };
-  for (const SnapshotEntry& e : snapshot.entries) {
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        row("counter", e.name, e.value, 0, 0, 0, 0, 0);
-        break;
-      case MetricKind::kGauge:
-        row("gauge", e.name, e.value, e.high_water, 0, 0, 0, 0);
-        break;
-      case MetricKind::kHistogram:
-        row("histogram", e.name, 0, 0, e.hist.count, e.hist.sum,
-            e.hist.count > 0 ? e.hist.min : 0,
-            e.hist.count > 0 ? e.hist.max : 0);
-        break;
-    }
-  }
-  return out;
-}
-
 }  // namespace uavcov::obs

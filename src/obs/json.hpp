@@ -1,8 +1,8 @@
 // Hand-rolled JSON writer (no third-party deps) plus the metrics-snapshot
-// exporters.  The writer is deliberately minimal — objects, arrays, string
+// writer.  The writer is deliberately minimal — objects, arrays, string
 // escaping, and locale-independent number formatting — but general enough
 // that bench/bench_runner.cpp builds the whole BENCH_coverage.json document
-// with it.
+// with it, the snapshot embedded through write_snapshot().
 //
 // Output is deterministic: the caller controls key order, doubles print
 // with max_digits10 (round-trip exact), and 64-bit identifiers that could
@@ -70,12 +70,5 @@ class JsonWriter {
 /// Keys appear in snapshot (i.e. name-sorted) order.  Writes the object as
 /// the next value of `w`, so it can be embedded in a larger document.
 void write_snapshot(JsonWriter& w, const Snapshot& snapshot);
-
-/// Standalone JSON document for one snapshot.
-std::string to_json(const Snapshot& snapshot);
-
-/// CSV export: header `kind,name,value,high_water,count,sum,min,max`, one
-/// row per metric in snapshot order.  Histogram buckets are JSON-only.
-std::string to_csv(const Snapshot& snapshot);
 
 }  // namespace uavcov::obs

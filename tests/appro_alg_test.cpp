@@ -1,15 +1,23 @@
 // Tests for Algorithm 2 (approAlg): feasibility on randomized instances,
-// agreement between lazy and plain greedy, determinism, comparison against
-// the exhaustive optimum (including the 1/(3Δ) guarantee) on tiny cases.
+// agreement with a plain reference Algorithm 2 at 1 and 4 threads,
+// determinism, comparison against the exhaustive optimum (including the
+// 1/(3Δ) guarantee) on tiny cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/appro_alg.hpp"
+#include "core/assignment.hpp"
 #include "core/exhaustive.hpp"
+#include "core/matroid.hpp"
+#include "core/relay.hpp"
+#include "core/replan.hpp"
+#include "graph/bfs.hpp"
 #include "workload/builder.hpp"
 
 namespace uavcov {
@@ -72,45 +80,154 @@ TEST(ApproAlg, Deterministic) {
   EXPECT_EQ(a.deployments, b.deployments);
 }
 
-/// Lazy evaluation is an exact optimization of the same greedy: both modes
-/// must return the same solution, not only the same served count.
-void expect_lazy_matches_plain(const Scenario& sc, ApproAlgParams params,
-                               const std::string& label) {
-  params.lazy_greedy = true;
-  const Solution lazy = appro_alg(sc, params);
-  params.lazy_greedy = false;
-  const Solution plain = appro_alg(sc, params);
-  EXPECT_EQ(lazy.served, plain.served) << label;
-  EXPECT_EQ(lazy.fingerprint(), plain.fingerprint()) << label;
+/// Reference Algorithm 2, built only from public pieces and kept plain:
+///   * a serial recursive scan of the s-subsets of the candidates in index
+///     order, skipping any subset with two seeds more than L_max − 1 hops
+///     apart;
+///   * M2 over the multi-source hop distances of the seeds;
+///   * the plain greedy: each round probes every untaken, M2-feasible
+///     candidate and keeps the largest index among equal gains;
+///   * relay stitching, the leftover UAVs placed on the relay cells in
+///     order, and the best subset replaced only on a strict improvement;
+///   * the leftover fill when fill_leftover_uavs is set, then the final
+///     optimal assignment.
+/// Reads s, candidate_cap, capacity_ascending and fill_leftover_uavs.
+/// appro_alg's lazy greedy and work-list search must match it exactly.
+Solution reference_algorithm2(const Scenario& sc,
+                              const ApproAlgParams& params) {
+  const CoverageModel cov(sc);
+  const std::int32_t K = sc.uav_count();
+  const std::vector<LocationId> cand =
+      cov.candidate_locations(params.candidate_cap);
+  const auto m = static_cast<std::int32_t>(cand.size());
+  Solution sol;
+  sol.algorithm = "approAlg";
+  sol.user_to_deployment.assign(sc.users.size(), -1);
+  if (m == 0) return sol;
+  const std::int32_t s = std::max(1, std::min({params.s, K, m}));
+  const SegmentPlan plan = compute_segment_plan(K, s);
+  const Graph g = build_location_graph(sc.grid, sc.uav_range_m);
+  std::vector<UavId> order = sc.uavs_by_capacity_desc();
+  if (params.capacity_ascending) std::reverse(order.begin(), order.end());
+  std::vector<std::vector<std::int32_t>> dist;
+  for (const LocationId c : cand) dist.push_back(bfs_distances(g, to_node(c)));
+
+  IncrementalAssignment ia(sc, cov);
+  std::int64_t best_served = -1;
+  std::vector<Deployment> best;
+  std::vector<std::int32_t> subset;
+  const auto evaluate = [&] {
+    std::vector<NodeId> seeds;
+    for (const std::int32_t i : subset) seeds.push_back(to_node(cand[i]));
+    HopBudgetMatroid m2(bfs_distances(g, seeds), plan.quotas);
+    const auto scope = ia.begin_scope();
+    std::vector<LocationId> chosen;
+    std::vector<bool> taken(cand.size(), false);
+    for (std::int32_t k = 0; k < plan.L_max; ++k) {
+      const UavId uav = order[static_cast<std::size_t>(k)];
+      std::int64_t best_gain = -1;
+      std::int32_t pick = -1;
+      for (std::int32_t i = 0; i < m; ++i) {
+        if (taken[i] || !m2.can_add(cand[i])) continue;
+        const std::int64_t gain = ia.probe(uav, cand[i]);
+        if (gain >= best_gain) {
+          best_gain = gain;
+          pick = i;
+        }
+      }
+      if (pick < 0) break;
+      ia.deploy(uav, cand[pick]);
+      m2.add(cand[pick]);
+      taken[pick] = true;
+      chosen.push_back(cand[pick]);
+    }
+    const auto relay = stitch_connected(g, chosen);
+    if (relay.has_value() &&
+        static_cast<std::int32_t>(relay->nodes.size()) <= K) {
+      for (std::size_t r = chosen.size(); r < relay->nodes.size(); ++r) {
+        ia.deploy(order[r], relay->nodes[r]);
+      }
+      if (ia.served() > best_served) {
+        best_served = ia.served();
+        best = ia.deployments();
+      }
+    }
+    ia.end_scope(scope);
+  };
+  const auto scan = [&](auto&& self, std::int32_t start) -> void {
+    if (static_cast<std::int32_t>(subset.size()) == s) {
+      evaluate();
+      return;
+    }
+    for (std::int32_t i = start; i < m; ++i) {
+      const bool compatible =
+          std::all_of(subset.begin(), subset.end(), [&](std::int32_t j) {
+            const std::int32_t hops = dist[j][to_node(cand[i])];
+            return hops != kUnreachable && hops <= plan.L_max - 1;
+          });
+      if (!compatible) continue;
+      subset.push_back(i);
+      self(self, i + 1);
+      subset.pop_back();
+    }
+  };
+  scan(scan, 0);
+  if (best_served < 0) return sol;
+
+  if (params.fill_leftover_uavs &&
+      static_cast<std::int32_t>(best.size()) < K) {
+    for (const Deployment& d : best) ia.deploy(d.uav, d.loc);
+    (void)fill_frontier(ia, g, cov, order);
+    if (ia.served() > best_served) best = ia.deployments();
+  }
+  const AssignmentResult assignment = solve_assignment(sc, cov, best);
+  sol.deployments = best;
+  sol.user_to_deployment = assignment.user_to_deployment;
+  sol.served = assignment.served;
+  return sol;
 }
 
-TEST(ApproAlg, LazyAndPlainGreedyAgree) {
+/// appro_alg must return the reference's solution at 1 and 4 threads.
+void expect_matches_reference(const Scenario& sc, ApproAlgParams params,
+                              const std::string& label) {
+  const Solution reference = reference_algorithm2(sc, params);
+  for (const std::int32_t threads : {1, 4}) {
+    params.threads = threads;
+    const Solution sol = appro_alg(sc, params);
+    EXPECT_EQ(sol.served, reference.served)
+        << label << ", threads " << threads;
+    EXPECT_EQ(sol.fingerprint(), reference.fingerprint())
+        << label << ", threads " << threads;
+  }
+}
+
+TEST(ApproAlg, MatchesReferenceAlgorithm2) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 1009);
     ApproAlgParams params;
     params.s = 2;
-    expect_lazy_matches_plain(random_scenario(rng, 5, 20, 5), params,
-                              "seed " + std::to_string(seed));
+    expect_matches_reference(random_scenario(rng, 5, 20, 5), params,
+                             "seed " + std::to_string(seed));
   }
   // Smallest-first order: a later UAV has more capacity than the one whose
-  // probes left their gains in the heap, so those gains are no bound.
+  // probes left their gains in the lazy heap, so those gains are no bound.
   ApproAlgParams params;
   params.s = 1;
   params.candidate_cap = 40;
   params.capacity_ascending = true;
-  expect_lazy_matches_plain(
+  expect_matches_reference(
       workload::ScenarioBuilder().users(400).uavs(8).seed(3).build(), params,
       "smallest-first");
   // Two radio classes: one class's gains do not bound the other's.
   params.candidate_cap = 20;
   params.capacity_ascending = false;
-  expect_lazy_matches_plain(workload::ScenarioBuilder()
-                                .users(150)
-                                .uavs(6)
-                                .heavy_fraction(0.5)
-                                .seed(6)
-                                .build(),
-                            params, "two radio classes");
+  expect_matches_reference(workload::ScenarioBuilder()
+                               .users(150)
+                               .uavs(6)
+                               .heavy_fraction(0.5)
+                               .seed(6)
+                               .build(),
+                           params, "two radio classes");
 }
 
 TEST(ApproAlg, NoCoverableUsersGivesEmptySolution) {
@@ -347,26 +464,6 @@ TEST(ApproAlgParamsValidate, BothSolverEntryPointsValidate) {
   EXPECT_THROW(appro_alg(sc, bad), std::invalid_argument);
   // Unified entry point forwards to the same checks.
   EXPECT_THROW(solve(sc, cov, bad), std::invalid_argument);
-}
-
-TEST(ApproAlg, PruningNeverBreaksFeasibility) {
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    Rng rng(seed * 37 + 19);
-    const Scenario sc = random_scenario(rng, 5, 25, 5);
-    const CoverageModel cov(sc);
-    ApproAlgParams no_prune;
-    no_prune.s = 2;
-    no_prune.prune_seed_pairs = false;
-    ApproAlgParams prune = no_prune;
-    prune.prune_seed_pairs = true;
-    const Solution a = appro_alg(sc, cov, no_prune);
-    const Solution b = appro_alg(sc, cov, prune);
-    validate_solution(sc, cov, a);
-    validate_solution(sc, cov, b);
-    // Pruned enumeration is a subset of the full enumeration, so it can
-    // only do worse or equal — and on these small instances should tie.
-    EXPECT_LE(b.served, a.served);
-  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
 
 #include "eval/experiment.hpp"
 #include "eval/figures.hpp"
@@ -100,6 +101,19 @@ TEST(Figures, Fig6ProducesServedAndRuntime) {
   const Table served = fig6_s_tradeoff(scale, runtime, 1, 2);
   EXPECT_EQ(served.row_count(), 2u);
   EXPECT_EQ(runtime.row_count(), 2u);
+}
+
+TEST(Figures, RejectRangesTheyCannotRun) {
+  FigureScale scale = toy_scale();
+  Table runtime;
+  EXPECT_THROW(fig4_served_vs_k(scale, 2, 2, 0), std::invalid_argument);
+  EXPECT_THROW(fig5_served_vs_n(scale, 60, 30, 30), std::invalid_argument);
+  EXPECT_THROW(fig5_served_vs_n(scale, 30, 60, -5), std::invalid_argument);
+  EXPECT_THROW(fig6_s_tradeoff(scale, runtime, 3, 1), std::invalid_argument);
+  scale.repetitions = 0;
+  EXPECT_THROW(fig4_served_vs_k(scale, 2, 2, 2), std::invalid_argument);
+  EXPECT_THROW(fig6_s_tradeoff(scale, runtime, 1, 1), std::invalid_argument);
+  EXPECT_THROW(run_averaged(RunConfig{}, 0), std::invalid_argument);
 }
 
 TEST(Figures, CsvSideOutput) {

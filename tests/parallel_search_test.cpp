@@ -1,9 +1,9 @@
-// Tests for the parallel seed-subset search engine: the parallel path
-// (threads > 1) must be bit-identical to the serial path (threads = 1) —
-// same deployments, same user assignment, same served count, and the same
-// ApproAlgStats subset counters — on randomized scenarios, with and
-// without the max_seed_subsets budget.  Also covers the ThreadPool
-// primitive itself.
+// Tests for the seed-subset search at several worker counts: a pool of
+// workers (threads > 1) must be bit-identical to one worker on the calling
+// thread (threads = 1) — same deployments, same user assignment, same
+// served count, and the same ApproAlgStats subset counters — on randomized
+// scenarios, with and without the max_seed_subsets budget.  Also covers
+// the ThreadPool primitive itself.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -77,9 +77,8 @@ TEST(Refine, SwapExchangesMismatchedCapacities) {
   sol.served = initial.served;
   ASSERT_LT(sol.served, 7);
 
-  RefineParams params;
-  params.enable_relocate = false;  // isolate the swap move
-  const auto stats = refine_solution(sc, cov, sol, params);
+  // Both cells are occupied, so relocate has no free cell to try.
+  const auto stats = refine_solution(sc, cov, sol);
   EXPECT_EQ(stats.swaps, 1);
   EXPECT_EQ(sol.served, 7);
   validate_solution(sc, cov, sol);

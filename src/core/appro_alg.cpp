@@ -49,10 +49,11 @@ const ApproMetrics& appro_metrics() {
   return metrics;
 }
 
-/// Cooperative deadline for ApproAlgParams::time_budget_s.  Workers poll
-/// between seed subsets and between greedy rounds; once the shared flag
-/// flips it stays set, so every thread winds down promptly.  A null
-/// monitor (budget 0) keeps the search on the exact pre-deadline path.
+/// Cooperative deadline for ApproAlgParams::time_budget_s.  The subset
+/// listing and the workers poll between seed subsets, and the greedy
+/// between rounds; once the shared flag flips it stays set, so every
+/// thread winds down promptly.  A null monitor (budget 0) keeps the
+/// search on the exact pre-deadline path.
 struct DeadlineMonitor {
   DeadlineMonitor(const Stopwatch& watch, double budget_s)
       : watch_(watch), budget_s_(budget_s) {}
@@ -410,9 +411,14 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
 
   // Materialize the work list first — enumeration is cheap next to
   // evaluation (each evaluation runs a full greedy with flow probes) and a
-  // fixed list gives every subset its global rank up front.
+  // fixed list gives every subset its global rank up front.  A spent budget
+  // ends the list too, but subset 0 is always on it (see the workers).
   std::vector<std::int32_t> flat;
   enumerate_subsets(ctx, s, [&](const std::vector<std::int32_t>& subset) {
+    if (st.subsets_enumerated > 0 && ctx.deadline != nullptr &&
+        ctx.deadline->expired()) {
+      return false;
+    }
     flat.insert(flat.end(), subset.begin(), subset.end());
     ++st.subsets_enumerated;
     return !(params.max_seed_subsets > 0 &&

@@ -421,6 +421,7 @@ TEST(Deadline, BindingBudgetStillReturnsValidSolution) {
   ApproAlgStats stats;
   const Solution sol = appro_alg(sc, coverage, params, &stats);
   EXPECT_TRUE(stats.deadline_hit);
+  EXPECT_EQ(stats.subsets_enumerated, 1);  // the spent budget ends the list
   EXPECT_GE(stats.subsets_evaluated, 1);  // never gratuitously empty
   EXPECT_GT(sol.served, 0);
   validate_solution(sc, coverage, sol);   // §II-C feasible regardless
@@ -453,6 +454,7 @@ TEST(Deadline, BindingBudgetWorksInParallelToo) {
   ApproAlgStats stats;
   const Solution sol = appro_alg(sc, coverage, params, &stats);
   EXPECT_TRUE(stats.deadline_hit);
+  EXPECT_EQ(stats.subsets_enumerated, 1);
   EXPECT_GE(stats.subsets_evaluated, 1);
   EXPECT_GT(sol.served, 0);
   validate_solution(sc, coverage, sol);
